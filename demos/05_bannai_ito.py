@@ -18,7 +18,7 @@ print(gam.pretty())
 
 print("\nempty-set scalar, solved from the disjoint pair at two legs:")
 c = derive_empty_scalar(BI)
-print(f"  {c.pretty(half_powers=True)}")
+print(f"  {c.pretty()}")
 print(f"  equals the Casimir counit: {c == BI.casimir_counit}")
 
 print("\nrank-one q-anticommutator relations at three legs:")

@@ -13,40 +13,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import numoracle, relations
 from .extension import IndexSet, build, derive_empty_scalar, make_plan
 from .relations import get_backend
-
-
-@dataclass
-class Config:
-    backend: str = "aw"
-    n: int = 3
-    max_scan_n: int = 4
-    workers: int = 1
-    output: str = "human"
-    numeric: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_scan_n < 2:
-            raise ValueError("max_scan_n must be >= 2")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-    @staticmethod
-    def from_args(args) -> "Config":
-        return Config(
-            backend=getattr(args, "backend", "aw"),
-            n=getattr(args, "n", 3),
-            max_scan_n=getattr(args, "max_scan_n", 4),
-            workers=getattr(args, "workers", 1),
-            output=getattr(args, "output", "human"),
-            numeric=getattr(args, "numeric", False),
-            seed=getattr(args, "seed", 0),
-        )
 
 
 def _workers_default():
@@ -101,8 +71,10 @@ def cmd_check(args) -> int:
     rep.pattern_predicted, rep.witness = relations.predict_pattern(A, B)
     numeric_verdict = None
     if args.numeric:
-        if backend.name != "aw" or args.n > 3:
-            numeric_verdict = "skipped"
+        if backend.name != "aw":
+            numeric_verdict = "skipped (numeric oracle covers the aw backend only)"
+        elif args.n > 3:
+            numeric_verdict = "skipped (n > 3)"
         else:
             lhs, rhs = relations.star_sides(A, B, args.n, backend) \
                 if args.relation == "star" else _comm_sides(A, B, args.n, backend)
@@ -135,14 +107,17 @@ def _comm_sides(A, B, n, backend):
 
 
 def cmd_scan(args) -> int:
-    cfg = Config.from_args(args)
-    backend = get_backend(cfg.backend)
-    if cfg.n > cfg.max_scan_n:
-        print(f"scan arity {cfg.n} exceeds the configured bound "
-              f"{cfg.max_scan_n}; raise --max-scan-n explicitly",
+    if args.max_scan_n < 2:
+        raise ValueError("--max-scan-n must be >= 2")
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
+    backend = get_backend(args.backend)
+    if args.n > args.max_scan_n:
+        print(f"scan arity {args.n} exceeds the configured bound "
+              f"{args.max_scan_n}; raise --max-scan-n explicitly",
               file=sys.stderr)
         return 2
-    stream = cfg.output == "json"
+    stream = args.output == "json"
 
     def progress(rep):
         if stream:
@@ -150,9 +125,9 @@ def cmd_scan(args) -> int:
                                          include_timing=args.timing),
                              sort_keys=True), flush=True)
 
-    reports, summary = relations.scan(cfg.n, backend, workers=cfg.workers,
-                                      progress=progress if cfg.workers == 1 else None)
-    if stream and cfg.workers > 1:
+    reports, summary = relations.scan(args.n, backend, workers=args.workers,
+                                      progress=progress if args.workers == 1 else None)
+    if stream and args.workers > 1:
         for rep in reports:
             print(json.dumps(rep.to_json(include_residual=False,
                                          include_timing=args.timing),
@@ -160,7 +135,7 @@ def cmd_scan(args) -> int:
     if stream:
         print(json.dumps({"summary": summary}, sort_keys=True))
     else:
-        print(f"scan n={cfg.n} backend={backend.name}: "
+        print(f"scan n={args.n} backend={backend.name}: "
               f"{summary['pairs']} ordered pairs")
         print(f"  standard relation holds: {summary['star_holds']}")
         print(f"  commutator vanishes:     {summary['comm_holds']}")
@@ -292,7 +267,7 @@ def _hopf_axiom_failures(backend, seed, rounds=25):
     bad = []
 
     def relem():
-        if backend.nfields == 3:
+        if len(backend.field_names) == 3:
             exps = (rng.randint(0, 2), rng.randint(-2, 2), rng.randint(0, 2))
         else:
             exps = (rng.randint(0, 2), rng.randint(0, 2),

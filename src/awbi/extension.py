@@ -14,7 +14,6 @@ theorem (and a first-class test here), not an assumption.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 
 from .pbw import AlgElem, Backend, CoactionError, EdgeElem
@@ -109,9 +108,6 @@ class MorphismPlan:
                 raise ValueError(f"coproduct position {pos} out of range")
             arity += 1
 
-    def final_arity(self):
-        return 1 + len(self.steps)
-
     def render(self) -> str:
         """Composition notation, rightmost factor applied first."""
         bits = []
@@ -139,26 +135,13 @@ def _core(A: IndexSet):
 def plan_right(A: IndexSet) -> MorphismPlan:
     """Ascending pass: each element after the minimum contributes a
     coproduct; right coactions open the gap before it."""
-    a = _core(A)
-    steps = []
-    for i in range(1, len(a)):
-        steps.append((DELTA, a[i - 1]))
-        for ell in range(a[i - 1], a[i] - 1):
-            steps.append((TAU_R, ell + 1))
-    return MorphismPlan(tuple(steps))
+    return plan_mixed(A, 1)
 
 
 def plan_left(A: IndexSet) -> MorphismPlan:
     """Descending pass: coproducts at the leftmost leg, left coactions open
     the gaps."""
-    a = _core(A)
-    m = len(a)
-    steps = []
-    for i in range(m - 2, -1, -1):
-        steps.append((DELTA, 1))
-        for _ in range(a[i] + 1, a[i + 1]):
-            steps.append((TAU_L, 1))
-    return MorphismPlan(tuple(steps))
+    return plan_mixed(A, len(A.elements))
 
 
 def plan_mixed(A: IndexSet, j: int) -> MorphismPlan:
@@ -283,7 +266,6 @@ def empty_generator(backend: Backend, n: int) -> AlgElem:
 # ---------------------------------------------------------------------------
 
 _CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def generator(backend: Backend, n: int, elements) -> AlgElem:
@@ -291,15 +273,12 @@ def generator(backend: Backend, n: int, elements) -> AlgElem:
     key = (backend.name, n, tuple(sorted(set(elements))))
     g = _CACHE.get(key)
     if g is None:
-        g = build(IndexSet(n, key[2]), backend)
-        with _CACHE_LOCK:
-            _CACHE.setdefault(key, g)
+        g = _CACHE[key] = build(IndexSet(n, key[2]), backend)
     return g
 
 
 def clear_cache():
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

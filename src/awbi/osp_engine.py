@@ -1,5 +1,6 @@
 """osp_q(1|2) backend: normal forms with the parity generator P, the
-Casimir, coproduct, and the coideal coactions for the q-Bannai-Ito family.
+Casimir, the generator coproducts, and the coideal coactions for the
+q-Bannai-Ito family.
 
 Presentation: generators A+, A-, K, K^-1, P with
     K A+ K^-1 = q^(1/2) A+,   K A- K^-1 = q^(-1/2) A-,
@@ -14,14 +15,17 @@ Right coideal alphabet: {A+K, A-K, K^2 P, Casimir}; left coideal alphabet:
 
 from __future__ import annotations
 
-from .pbw import AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, acc_term, bracket_q
-from .qcoeff import ONE, ZERO, RatQ, lp, vpow
+from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, acc_term,
+                  bracket_q, term_dict as _d)
+from .qcoeff import ONE, RatQ, lp, vpow
 
 # Packed factor layout: a- (10 bits) | a+ (10 bits) | k+2048 (12 bits) | p (1 bit).
 _KOFF = 2048
 
 
 def _pack(am, ap, k, p):
+    if am < 0 or not 0 <= ap < 1024 or not -_KOFF <= k < _KOFF or p not in (0, 1):
+        raise ValueError(f"exponents {(am, ap, k, p)} do not fit the packed layout")
     return (am << 23) | (ap << 13) | ((k + _KOFF) << 1) | p
 
 
@@ -102,78 +106,9 @@ def _mul_mono(m1, m2):
     return tuple(out)
 
 
-# -- coproduct on monomials ---------------------------------------------------
-
-_ID = _pack(0, 0, 0, 0)
-_DPOW_CACHE = {}
-
-
-def _mul2(d1, d2):
-    out = {}
-    for (a1, b1), c1 in d1.items():
-        for (a2, b2), c2 in d2.items():
-            c12 = c1 * c2
-            for ma, ca in _mul_mono(a1, a2):
-                cca = c12 * ca
-                for mb, cb in _mul_mono(b1, b2):
-                    acc_term(out, (ma, mb), cca * cb)
-    return out
-
-
-def _delta_gen_pow(name, p):
-    key = (name, p)
-    r = _DPOW_CACHE.get(key)
-    if r is not None:
-        return r
-    if p == 0:
-        r = {(_ID, _ID): ONE}
-    else:
-        if name == "A-":
-            g, kp, ki = _pack(1, 0, 0, 0), _pack(0, 0, 1, 1), _pack(0, 0, -1, 0)
-        else:
-            g, kp, ki = _pack(0, 1, 0, 0), _pack(0, 0, 1, 1), _pack(0, 0, -1, 0)
-        base = {(g, kp): ONE, (ki, g): ONE}
-        r = _mul2(_delta_gen_pow(name, p - 1), base)
-    _DPOW_CACHE[key] = r
-    return r
-
-
-def _delta_mono(m):
-    am, ap, k, p = _unpack(m)
-    d = _delta_gen_pow("A-", am)
-    if ap:
-        d = _mul2(d, _delta_gen_pow("A+", ap))
-    if k:
-        mk = _pack(0, 0, k, 0)
-        d = _mul2(d, {(mk, mk): ONE})
-    if p:
-        mp = _pack(0, 0, 0, 1)
-        d = _mul2(d, {(mp, mp): ONE})
-    return tuple((a, b, c) for (a, b), c in d.items())
-
-
-def _counit_mono(m):
-    am, ap, k, p = _unpack(m)
-    return ONE if am == 0 and ap == 0 else ZERO
-
-
 def _parity(m):
     am, ap, _, _ = _unpack(m)
     return (am + ap) & 1
-
-
-def _mono_pretty(m):
-    am, ap, k, p = _unpack(m)
-    bits = []
-    if am:
-        bits.append("A-" if am == 1 else f"A-^{am}")
-    if ap:
-        bits.append("A+" if ap == 1 else f"A+^{ap}")
-    if k:
-        bits.append("K" if k == 1 else f"K^{k}")
-    if p:
-        bits.append("P")
-    return ".".join(bits) if bits else "1"
 
 
 # -- the Casimir and the coideal tables ----------------------------------------
@@ -189,14 +124,11 @@ _CASIMIR = {
 # counit of the Casimir; also the empty-set scalar for this family
 _CAS_COUNIT = -(ONE / SP)
 
-
-def _d(*pairs):
-    out = {}
-    for m, c in pairs:
-        acc_term(out, m, c)
-    return out
-
-
+_ID = _pack(0, 0, 0, 0)
+_mAm = _pack(1, 0, 0, 0)        # A-
+_mAp = _pack(0, 1, 0, 0)        # A+
+_mKP = _pack(0, 0, 1, 1)        # K P
+_mKi = _pack(0, 0, -1, 0)       # K^-1
 _mApK = _pack(0, 1, 1, 0)       # A+ K
 _mAmK = _pack(1, 0, 1, 0)       # A- K
 _mK2P = _pack(0, 0, 2, 1)       # K^2 P
@@ -282,14 +214,21 @@ _CAS_DELTA = (
     ("Ki2P", "K2P", ONE / SP),
 )
 
+# coproducts of the generators in field order; K and P are group-like
+_GEN_DELTA = (
+    {(_mAm, _mKP): ONE, (_mKi, _mAm): ONE},
+    {(_mAp, _mKP): ONE, (_mKi, _mAp): ONE},
+    None,
+    None,
+)
+
 BI = Backend(
     name="bi",
-    nfields=4,
+    field_names=("A-", "A+", "K", "P"),
     pack=_pack,
     unpack=_unpack,
     mul_mono=_mul_mono,
-    delta_mono=_delta_mono,
-    counit_mono=_counit_mono,
+    gen_delta=_GEN_DELTA,
     casimir=_CASIMIR,
     casimir_counit=_CAS_COUNIT,
     alphabets={
@@ -297,9 +236,6 @@ BI = Backend(
         "L": Alphabet("L", ("A+KiP", "A-KiP", "Ki2P", "Gam"), _L_PBW, _L_TAU, _L_DELTA),
     },
     casimir_delta=_CAS_DELTA,
-    mono_pretty=_mono_pretty,
-    half_powers=True,
-    parity=_parity,
 )
 
 
@@ -322,10 +258,6 @@ def gamma_casimir() -> AlgElem:
     return AlgElem.casimir(BI)
 
 
-def osp_mul(x: AlgElem, y: AlgElem) -> AlgElem:
-    return x * y
-
-
 def q_comm(x: AlgElem, y: AlgElem, sign: str = "inv") -> AlgElem:
     """Plain commutator (sign="inv") or [x,y]_q with q-weights."""
     if sign == "inv":
@@ -333,19 +265,6 @@ def q_comm(x: AlgElem, y: AlgElem, sign: str = "inv") -> AlgElem:
     if sign == "q":
         return bracket_q(x, y, vpow(2), -vpow(-2))
     raise ValueError(f"unknown sign {sign!r}")
-
-
-def q_anticomm(x: AlgElem, y: AlgElem) -> AlgElem:
-    """{x,y}_q = q^(1/2) x y + q^(-1/2) y x."""
-    return bracket_q(x, y, VH, VHI)
-
-
-def osp_coproduct(x: AlgElem, pos: int) -> AlgElem:
-    return x.coproduct(pos)
-
-
-def osp_counit(x: AlgElem, pos: int) -> AlgElem:
-    return x.counit(pos)
 
 
 def coideal_word(side: str, name: str) -> CoidealWord:

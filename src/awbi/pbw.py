@@ -1,6 +1,7 @@
-"""Core machinery shared by the two algebra backends: normal-form tensor
-elements, coideal edge words, and the build state that the extension
-processes act on.
+"""Core machinery shared by the two algebra backends: the Hopf structure
+on monomials derived from each backend's generator table, normal-form
+tensor elements, coideal edge words, and the build state that the
+extension processes act on.
 
 An AlgElem is a linear combination of length-n tensor monomials in a fixed
 normal order, with field coefficients.  Monomials are packed into single
@@ -14,7 +15,7 @@ are permanently in normal form; asking for a coaction there raises.
 
 from __future__ import annotations
 
-from .qcoeff import RatQ, ONE
+from .qcoeff import ONE, ZERO, RatQ
 
 
 class CoactionError(Exception):
@@ -49,40 +50,36 @@ class Alphabet:
 
 class Backend:
     """Straightening rules, Hopf structure data and coideal alphabets for
-    one algebra (instantiated once per backend module)."""
+    one algebra (instantiated once per backend module).
 
-    __slots__ = ("name", "nfields", "identity", "_pack", "_unpack",
-                 "_mul_mono_raw", "_delta_mono_raw", "counit_mono",
-                 "casimir", "casimir_counit", "alphabets", "casimir_delta",
-                 "mono_pretty", "half_powers", "parity",
-                 "_mul_cache", "_delta_cache")
+    A backend module supplies what is specific to its algebra: the packed
+    monomial layout, the straightening of two monomials, the Casimir and
+    coideal tables, and gen_delta, which holds per packed field (in normal
+    order) the coproduct of that field's generator as an arity-2 term dict,
+    or None when the generator is group-like.  The coproduct, counit and
+    label of every monomial are derived here from gen_delta and
+    field_names.
+    """
 
-    def __init__(self, name, nfields, pack, unpack, mul_mono, delta_mono,
-                 counit_mono, casimir, casimir_counit, alphabets,
-                 casimir_delta, mono_pretty, half_powers, parity):
+    __slots__ = ("name", "field_names", "identity", "pack", "unpack",
+                 "_mul_mono_raw", "gen_delta", "casimir", "casimir_counit",
+                 "alphabets", "casimir_delta", "_mul_cache", "_delta_cache")
+
+    def __init__(self, name, field_names, pack, unpack, mul_mono, gen_delta,
+                 casimir, casimir_counit, alphabets, casimir_delta):
         self.name = name
-        self.nfields = nfields
-        self._pack = pack
-        self._unpack = unpack
+        self.field_names = field_names
+        self.pack = pack
+        self.unpack = unpack
         self._mul_mono_raw = mul_mono
-        self._delta_mono_raw = delta_mono
-        self.counit_mono = counit_mono
+        self.gen_delta = gen_delta
         self.casimir = casimir                  # arity-1 term dict
         self.casimir_counit = casimir_counit    # RatQ scalar, also the empty-set value
         self.alphabets = alphabets              # {"R": Alphabet, "L": Alphabet}
         self.casimir_delta = casimir_delta      # tuple of (L letter, R letter, coeff)
-        self.mono_pretty = mono_pretty
-        self.half_powers = half_powers
-        self.parity = parity
         self._mul_cache = {}
         self._delta_cache = {}
-        self.identity = pack(*([0] * nfields))
-
-    def pack(self, *exps):
-        return self._pack(*exps)
-
-    def unpack(self, m):
-        return self._unpack(m)
+        self.identity = pack(*([0] * len(field_names)))
 
     def mul_mono(self, m1, m2):
         """Normal form of a product of two single-factor monomials, as a
@@ -96,19 +93,41 @@ class Backend:
 
     def delta_mono(self, m):
         """Coproduct of a single-factor monomial as a tuple of
-        (left mono, right mono, coeff) triples."""
+        (left mono, right mono, coeff) triples: the ordered product of the
+        images of its generator powers.  Memoized."""
         r = self._delta_cache.get(m)
         if r is None:
-            r = self._delta_mono_raw(m)
+            d = {(self.identity, self.identity): ONE}
+            exps = self.unpack(m)
+            for i, (e, g) in enumerate(zip(exps, self.gen_delta)):
+                if g is None and e:
+                    x = self.pack(*(e if j == i else 0 for j in range(len(exps))))
+                    d = mul_terms(self.mul_mono, d, {(x, x): ONE})
+                elif g is not None:
+                    for _ in range(e):
+                        d = mul_terms(self.mul_mono, d, g)
+            r = tuple((a, b, c) for (a, b), c in d.items())
             self._delta_cache[m] = r
         return r
+
+    def counit_mono(self, m):
+        """1 when every field that is not group-like has exponent 0."""
+        for e, g in zip(self.unpack(m), self.gen_delta):
+            if e and g is not None:
+                return ZERO
+        return ONE
+
+    def mono_pretty(self, m):
+        bits = [name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self.field_names, self.unpack(m)) if e]
+        return ".".join(bits) or "1"
 
     def __repr__(self):
         return f"Backend({self.name})"
 
 
 # ---------------------------------------------------------------------------
-# arity-1 term-dict helpers (used by backends to assemble tables)
+# term-dict helpers
 # ---------------------------------------------------------------------------
 
 def acc_term(out, key, coeff):
@@ -124,6 +143,14 @@ def acc_term(out, key, coeff):
             del out[key]
 
 
+def term_dict(*pairs):
+    """Term dict from (key, coeff) pairs, merging repeated keys."""
+    out = {}
+    for k, c in pairs:
+        acc_term(out, k, c)
+    return out
+
+
 def dict_mul1(backend, a, b):
     """Product of two arity-1 term dicts."""
     out = {}
@@ -133,6 +160,32 @@ def dict_mul1(backend, a, b):
             c12 = c1 * c2
             for m, c in mul(m1, m2):
                 acc_term(out, m, c12 * c)
+    return out
+
+
+def mul_terms(mul, a, b):
+    """Product of two term dicts keyed by equal-length tuples of factor
+    monomials.  Tensor factors multiply independently under the
+    single-factor product mul; the parity generator carries all sign
+    information, so there are no cross-factor signs."""
+    out = {}
+    bterms = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in bterms:
+            parts = [((), c1 * c2)]
+            for x, y in zip(k1, k2):
+                fr = mul(x, y)
+                if len(fr) == 1:
+                    m, fc = fr[0]
+                    if fc.is_one():
+                        parts = [(k + (m,), cc) for k, cc in parts]
+                    else:
+                        parts = [(k + (m,), cc * fc) for k, cc in parts]
+                else:
+                    parts = [(k + (m,), cc * fc)
+                             for k, cc in parts for m, fc in fr]
+            for k, cc in parts:
+                acc_term(out, k, cc)
     return out
 
 
@@ -235,33 +288,10 @@ class AlgElem:
     # -- multiplication --------------------------------------------------------
 
     def __mul__(self, other):
-        """Normal-form product.  Tensor factors multiply independently;
-        the parity generator carries all sign information, so there are
-        no cross-factor signs."""
+        """Normal-form product (see mul_terms)."""
         self._check(other)
-        backend = self.backend
-        arity = self.arity
-        mul = backend.mul_mono
-        out = {}
-        oterms = other.terms.items()
-        for k1, c1 in self.terms.items():
-            for k2, c2 in oterms:
-                c = c1 * c2
-                parts = [((), c)]
-                for i in range(arity):
-                    fr = mul(k1[i], k2[i])
-                    if len(fr) == 1:
-                        m, fc = fr[0]
-                        if fc.is_one():
-                            parts = [(k + (m,), cc) for k, cc in parts]
-                        else:
-                            parts = [(k + (m,), cc * fc) for k, cc in parts]
-                    else:
-                        parts = [(k + (m,), cc * fc)
-                                 for k, cc in parts for m, fc in fr]
-                for k, cc in parts:
-                    acc_term(out, k, cc)
-        return AlgElem(backend, arity, out)
+        return AlgElem(self.backend, self.arity,
+                       mul_terms(self.backend.mul_mono, self.terms, other.terms))
 
     # -- Hopf structure ---------------------------------------------------------
 
@@ -338,7 +368,7 @@ class AlgElem:
         shown = keys if max_terms is None else keys[:max_terms]
         for k in shown:
             mono = " x ".join(backend.mono_pretty(m) for m in k)
-            bits.append(f"{self.terms[k].pretty(backend.half_powers)} * [{mono}]")
+            bits.append(f"{self.terms[k].pretty()} * [{mono}]")
         if max_terms is not None and len(keys) > max_terms:
             bits.append(f"... ({len(keys) - max_terms} more)")
         return "\n".join(bits)

@@ -34,10 +34,6 @@ class LaurentPoly:
         return _LP_ZERO
 
     @staticmethod
-    def one():
-        return _LP_ONE
-
-    @staticmethod
     def const(c):
         if c == 0:
             return _LP_ZERO
@@ -146,10 +142,6 @@ class LaurentPoly:
             g = _int_gcd(g, abs(c))
         return g
 
-    def substitute_inverse(self):
-        """v -> v^(-1)."""
-        return LaurentPoly({-e: c for e, c in self.d.items()}, _trusted=True)
-
     def evaluate(self, r: Fraction) -> Fraction:
         acc = Fraction(0)
         for e, c in self.d.items():
@@ -195,9 +187,9 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.pretty()})"
 
-    def pretty(self, half_powers=False):
+    def pretty(self):
         """Render in powers of q: even v-exponents as integer q powers, odd
-        ones (which only appear in half-power contexts) as q^(k/2)."""
+        ones as q^(k/2)."""
         if not self.d:
             return "0"
         bits = [_term_str(self.d[e], e) for e in sorted(self.d, reverse=True)]
@@ -460,9 +452,6 @@ class RatQ:
             return ZERO
         return RatQ(self.num * other.den, self.den * other.num)
 
-    def inv(self):
-        return ONE / self
-
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
@@ -482,11 +471,11 @@ class RatQ:
             raise ZeroDivisionError(f"denominator vanishes at v = {r}")
         return self.num.evaluate(r) / dv
 
-    def pretty(self, half_powers=False):
+    def pretty(self):
         if self.den.is_one():
-            n = self.num.pretty(half_powers)
+            n = self.num.pretty()
             return n if len(self.num.d) == 1 else f"({n})"
-        return f"({self.num.pretty(half_powers)})/({self.den.pretty(half_powers)})"
+        return f"({self.num.pretty()})/({self.den.pretty()})"
 
     def __repr__(self):
         return f"RatQ({self.pretty()})"
@@ -541,10 +530,6 @@ def vpow(k) -> RatQ:
         r = RatQ(LaurentPoly.mono(k), _LP_ONE, _trusted=True)
         _VPOW_CACHE[k] = r
     return r
-
-
-def qpow(a) -> RatQ:
-    return vpow(2 * a)
 
 
 def lp(*pairs) -> LaurentPoly:

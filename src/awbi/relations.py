@@ -10,7 +10,6 @@ residual (left minus right side in normal form) for inspection.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,22 +49,18 @@ def relation_scalars(backend):
 # -- cached generator products (reused heavily across suites) -----------------
 
 _PROD_CACHE: dict = {}
-_PROD_LOCK = threading.Lock()
 
 
 def _prod(backend, n, ea, eb) -> AlgElem:
     key = (backend.name, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
     p = _PROD_CACHE.get(key)
     if p is None:
-        p = generator(backend, n, ea) * generator(backend, n, eb)
-        with _PROD_LOCK:
-            _PROD_CACHE.setdefault(key, p)
+        p = _PROD_CACHE[key] = generator(backend, n, ea) * generator(backend, n, eb)
     return p
 
 
 def clear_caches():
-    with _PROD_LOCK:
-        _PROD_CACHE.clear()
+    _PROD_CACHE.clear()
     extension.clear_cache()
 
 
@@ -117,6 +112,12 @@ class RelationReport:
         if include_timing:
             obj["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
         return obj
+
+
+def _nested(A, B):
+    """One set contains the other."""
+    sa, sb = set(A), set(B)
+    return sa <= sb or sb <= sa
 
 
 def _setops(A, B):
@@ -473,8 +474,7 @@ def scan(n, backend, workers=1, progress=None):
                 progress(rep)
     disagreements = [r for r in reports if r.holds_star != r.pattern_predicted]
     containment_failures = [
-        r for r in reports
-        if set(r.B) <= set(r.A) and not r.holds_comm
+        r for r in reports if _nested(r.A, r.B) and not r.holds_comm
     ]
     summary = {
         "n": n,
@@ -486,8 +486,7 @@ def scan(n, backend, workers=1, progress=None):
         "pattern_disagreements": [
             {"A": list(r.A), "B": list(r.B),
              "holds_star": r.holds_star, "pattern_predicted": r.pattern_predicted,
-             "containment_degenerate": bool(
-                 r.holds_star and (set(r.B) <= set(r.A) or set(r.A) <= set(r.B)))}
+             "containment_degenerate": bool(r.holds_star and _nested(r.A, r.B))}
             for r in disagreements
         ],
         "containment_comm_failures": [

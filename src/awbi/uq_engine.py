@@ -1,6 +1,6 @@
-"""U_q(sl2) backend: PBW normal-form arithmetic in tensor powers, the
-coproduct and counit, the Casimir element, and the two coactions on the
-coideal subalgebras generated by {EK^-1, F, K^-1, Casimir} (right) and
+"""U_q(sl2) backend: straightening of PBW monomials, the generator
+coproducts, the Casimir element, and the two coactions on the coideal
+subalgebras generated by {EK^-1, F, K^-1, Casimir} (right) and
 {E, FK, K, Casimir} (left).
 
 Presentation: generators E, F, K, K^-1 with
@@ -11,14 +11,17 @@ Monomials are normal-ordered as F^f K^k E^e.
 
 from __future__ import annotations
 
-from .pbw import AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, acc_term, bracket_q
-from .qcoeff import ONE, ZERO, RatQ, lp, vpow
+from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, acc_term,
+                  bracket_q, term_dict as _d)
+from .qcoeff import ONE, RatQ, lp, vpow
 
 # Packed factor layout: f (10 bits) | k+2048 (12 bits) | e (10 bits).
 _KOFF = 2048
 
 
 def _pack(f, k, e):
+    if f < 0 or not 0 <= e < 1024 or not -_KOFF <= k < _KOFF:
+        raise ValueError(f"exponents {(f, k, e)} do not fit the packed layout")
     return (f << 22) | ((k + _KOFF) << 10) | e
 
 
@@ -102,71 +105,6 @@ def _mul_mono(m1, m2):
     return tuple(out)
 
 
-# -- coproduct on monomials --------------------------------------------------
-
-_ID = _pack(0, 0, 0)
-_DPOW_CACHE = {}
-
-
-def _mul2(d1, d2):
-    out = {}
-    for (a1, b1), c1 in d1.items():
-        for (a2, b2), c2 in d2.items():
-            c12 = c1 * c2
-            for ma, ca in _mul_mono(a1, a2):
-                cca = c12 * ca
-                for mb, cb in _mul_mono(b1, b2):
-                    acc_term(out, (ma, mb), cca * cb)
-    return out
-
-
-def _delta_gen_pow(name, p):
-    key = (name, p)
-    r = _DPOW_CACHE.get(key)
-    if r is not None:
-        return r
-    if p == 0:
-        r = {(_ID, _ID): ONE}
-    else:
-        if name == "E":
-            base = {(_pack(0, 0, 1), _ID): ONE,
-                    (_pack(0, 1, 0), _pack(0, 0, 1)): ONE}
-        else:
-            base = {(_pack(1, 0, 0), _pack(0, -1, 0)): ONE,
-                    (_ID, _pack(1, 0, 0)): ONE}
-        r = _mul2(_delta_gen_pow(name, p - 1), base)
-    _DPOW_CACHE[key] = r
-    return r
-
-
-def _delta_mono(m):
-    f, k, e = _unpack(m)
-    d = _delta_gen_pow("F", f)
-    if k:
-        mk = _pack(0, k, 0)
-        d = _mul2(d, {(mk, mk): ONE})
-    if e:
-        d = _mul2(d, _delta_gen_pow("E", e))
-    return tuple((a, b, c) for (a, b), c in d.items())
-
-
-def _counit_mono(m):
-    f, k, e = _unpack(m)
-    return ONE if f == 0 and e == 0 else ZERO
-
-
-def _mono_pretty(m):
-    f, k, e = _unpack(m)
-    bits = []
-    if f:
-        bits.append("F" if f == 1 else f"F^{f}")
-    if k:
-        bits.append("K" if k == 1 else f"K^{k}")
-    if e:
-        bits.append("E" if e == 1 else f"E^{e}")
-    return ".".join(bits) if bits else "1"
-
-
 # -- the Casimir and the coideal tables ---------------------------------------
 
 # Casimir in normal form: (q-q^-1)^2 F E + q K + q^-1 K^-1
@@ -176,14 +114,7 @@ _CASIMIR = {
     _pack(0, -1, 0): QI,
 }
 
-
-def _d(*pairs):
-    out = {}
-    for m, c in pairs:
-        acc_term(out, m, c)
-    return out
-
-
+_ID = _pack(0, 0, 0)
 _mE = _pack(0, 0, 1)
 _mF = _pack(1, 0, 0)
 _mK = _pack(0, 1, 0)
@@ -277,14 +208,20 @@ _CAS_DELTA = (
     ("FK", "EKi", vpow(-4) * QM2),
 )
 
+# coproducts of the generators in field order; K is group-like
+_GEN_DELTA = (
+    {(_mF, _mKi): ONE, (_ID, _mF): ONE},
+    None,
+    {(_mE, _ID): ONE, (_mK, _mE): ONE},
+)
+
 AW = Backend(
     name="aw",
-    nfields=3,
+    field_names=("F", "K", "E"),
     pack=_pack,
     unpack=_unpack,
     mul_mono=_mul_mono,
-    delta_mono=_delta_mono,
-    counit_mono=_counit_mono,
+    gen_delta=_GEN_DELTA,
     casimir=_CASIMIR,
     casimir_counit=QP,
     alphabets={
@@ -292,9 +229,6 @@ AW = Backend(
         "L": Alphabet("L", ("E", "FK", "K", "Lam"), _L_PBW, _L_TAU, _L_DELTA),
     },
     casimir_delta=_CAS_DELTA,
-    mono_pretty=_mono_pretty,
-    half_powers=False,
-    parity=None,
 )
 
 
@@ -328,14 +262,6 @@ def q_comm(x: AlgElem, y: AlgElem, sign: str = "q") -> AlgElem:
     if sign == "inv":
         return bracket_q(x, y, ONE, -ONE)
     raise ValueError(f"unknown sign {sign!r}")
-
-
-def coproduct(x: AlgElem, pos: int) -> AlgElem:
-    return x.coproduct(pos)
-
-
-def counit(x: AlgElem, pos: int) -> AlgElem:
-    return x.counit(pos)
 
 
 def coideal_word(side: str, name: str) -> CoidealWord:

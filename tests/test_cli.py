@@ -108,13 +108,41 @@ def test_selftest_small(capsys):
     assert "field axioms" in out and "Hopf/comodule" in out
 
 
-def test_config_validation():
-    from awbi.cli import Config
-    with pytest.raises(ValueError):
-        Config(workers=0)
-    with pytest.raises(ValueError):
-        Config(max_scan_n=1)
-    assert Config().backend == "aw"
+def test_config_validation(capsys):
+    assert main(["scan", "--n", "2", "--workers", "0"]) == 2
+    assert main(["scan", "--n", "2", "--max-scan-n", "1"]) == 2
+    code, out = run(capsys, "scan", "--n", "2", "--workers", "1")
+    assert code == 0
+    assert "backend=aw" in out
+
+
+def test_check_numeric_skip_names_reason(capsys):
+    code, out = run(capsys, "check", "--A", "1,2", "--B", "2,3", "--n", "3",
+                    "--backend", "bi", "--numeric", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["numeric"] == \
+        "skipped (numeric oracle covers the aw backend only)"
+    code, out = run(capsys, "check", "--A", "1,2", "--B", "2,3", "--n", "4",
+                    "--numeric")
+    assert code == 0
+    assert "numeric verdict: skipped (n > 3)" in out
+
+
+def test_scan_reports_noncommuting_pair_with_A_inside_B(capsys, monkeypatch):
+    from awbi import relations
+    real = relations.check_comm
+
+    def check_comm(A, B, n, backend):
+        rep = real(A, B, n, backend)
+        if (rep.A, rep.B) == ((1,), (1, 2)):
+            rep.holds_comm = False
+        return rep
+
+    monkeypatch.setattr(relations, "check_comm", check_comm)
+    _, summary = relations.scan(2, get_backend("aw"))
+    assert summary["containment_comm_failures"] == [{"A": [1], "B": [1, 2]}]
+    code, _ = run(capsys, "scan", "--n", "2", "--workers", "1")
+    assert code == 1
 
 
 def test_build_empty_set(capsys):

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from awbi import osp_engine as osp
 from awbi.pbw import AlgElem, CoidealWord, EdgeElem, acc_term
 from awbi.qcoeff import ONE, vpow
@@ -32,6 +34,16 @@ def test_parity_exponent_stays_in_range():
                      rng.randint(0, 1))
         for m, _ in BI.mul_mono(m1, m2):
             assert BI.unpack(m)[3] in (0, 1)
+
+
+def test_pack_rejects_exponents_outside_the_layout():
+    assert BI.unpack(BI.pack(5, 1023, -2048, 1)) == (5, 1023, -2048, 1)
+    for exps in ((0, 0, 0, 2), (0, 0, 0, -1), (0, 1024, 0, 0),
+                 (0, 0, 2048, 0), (-1, 0, 0, 0), (0, -1, 0, 0)):
+        with pytest.raises(ValueError):
+            BI.pack(*exps)
+    with pytest.raises(ValueError):
+        osp.element((0, 1023, 0, 0)) * osp.gen("A+")
 
 
 def test_casimir():
@@ -78,7 +90,7 @@ def test_graded_tensor_convention_fails():
     # coproduct would NOT respect the anticommutator relation
     def koszul_mul(x, y):
         out = {}
-        parity = BI.parity
+        parity = osp._parity
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
                 sign = parity(k1[1]) * parity(k2[0])

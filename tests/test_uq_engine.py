@@ -39,6 +39,16 @@ def test_e2f_against_single_step_rewriting():
     assert all(f >= 0 and e >= 0 for f, _, e in urc)
 
 
+def test_pack_rejects_exponents_outside_the_layout():
+    assert AW.unpack(AW.pack(5, -2048, 1023)) == (5, -2048, 1023)
+    for exps in ((0, 0, 1024), (0, 2048, 0), (0, -2049, 0), (-1, 0, 0),
+                 (0, 0, -1)):
+        with pytest.raises(ValueError):
+            AW.pack(*exps)
+    with pytest.raises(ValueError):
+        uq.element((0, 0, 1023)) * uq.gen("E")
+
+
 def test_arity_mismatch_raises():
     with pytest.raises(ValueError):
         uq.mul(LAM, LAM.coproduct(1))
