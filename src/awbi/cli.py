@@ -125,13 +125,8 @@ def cmd_scan(args) -> int:
                                          include_timing=args.timing),
                              sort_keys=True), flush=True)
 
-    reports, summary = relations.scan(args.n, backend, workers=args.workers,
-                                      progress=progress if args.workers == 1 else None)
-    if stream and args.workers > 1:
-        for rep in reports:
-            print(json.dumps(rep.to_json(include_residual=False,
-                                         include_timing=args.timing),
-                             sort_keys=True))
+    _, summary = relations.scan(args.n, backend, workers=args.workers,
+                                progress=progress)
     if stream:
         print(json.dumps({"summary": summary}, sort_keys=True))
     else:

@@ -81,6 +81,12 @@ class Backend:
         self._delta_cache = {}
         self.identity = pack(*([0] * len(field_names)))
 
+    def __reduce__(self):
+        # each backend is one module-level instance: a worker process
+        # sends it back by name, without its caches
+        from .relations import get_backend
+        return get_backend, (self.name,)
+
     def mul_mono(self, m1, m2):
         """Normal form of a product of two single-factor monomials, as a
         tuple of (mono, coeff) pairs.  Memoized; this is the hot path."""

@@ -442,36 +442,39 @@ def _scan_pair(backend, n, A, B) -> RelationReport:
 def _scan_chunk(args):
     backend_name, n, pairs = args
     backend = get_backend(backend_name)
-    out = []
-    for A, B in pairs:
-        rep = _scan_pair(backend, n, A, B)
-        rep.residual_star = None
-        rep.residual_comm = None
-        out.append(rep)
-    return out
+    return [_scan_pair(backend, n, A, B) for A, B in pairs]
+
+
+def _scan_reports(n, backend, workers):
+    """The reports of every ordered pair, yielded in pair order.  With
+    several workers the pairs go out in contiguous chunks, a few per
+    worker, and each chunk is yielded as soon as it and those before it
+    are done."""
+    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
+    if workers == 1:
+        for A, B in pairs:
+            yield _scan_pair(backend, n, A, B)
+        return
+    size = -(-len(pairs) // (4 * workers))
+    chunks = [(backend.name, n, pairs[i:i + size])
+              for i in range(0, len(pairs), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_scan_chunk, chunks):
+            yield from part
 
 
 def scan(n, backend, workers=1, progress=None):
     """Classify every ordered pair of subsets of [1;n]: does the standard
     relation hold, does the commutator vanish, and does the structural
-    pattern predict the former.  Returns (reports, summary)."""
+    pattern predict the former.  progress, if given, receives each
+    report in pair order as it becomes available.  Returns
+    (reports, summary)."""
     t0 = time.perf_counter()
-    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
     reports = []
-    if workers > 1:
-        chunks = [pairs[i::workers] for i in range(workers)]
-        order = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_chunk, [(backend.name, n, c) for c in chunks]):
-                for rep in part:
-                    order[(rep.A, rep.B)] = rep
-        reports = [order[p] for p in pairs]
-    else:
-        for A, B in pairs:
-            rep = _scan_pair(backend, n, A, B)
-            reports.append(rep)
-            if progress is not None:
-                progress(rep)
+    for rep in _scan_reports(n, backend, workers):
+        reports.append(rep)
+        if progress is not None:
+            progress(rep)
     disagreements = [r for r in reports if r.holds_star != r.pattern_predicted]
     containment_failures = [
         r for r in reports if _nested(r.A, r.B) and not r.holds_comm

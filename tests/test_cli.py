@@ -116,6 +116,21 @@ def test_config_validation(capsys):
     assert "backend=aw" in out
 
 
+def test_scan_json_lines_do_not_depend_on_workers(capsys):
+    def lines(workers):
+        code, out = run(capsys, "scan", "--n", "3", "--output", "json",
+                        "--workers", workers)
+        assert code == 0
+        rows = out.splitlines()
+        summary = json.loads(rows[-1])
+        del summary["summary"]["elapsed_s"]
+        return rows[:-1] + [json.dumps(summary, sort_keys=True)]
+
+    serial = lines("1")
+    assert len(serial) == 65
+    assert lines("2") == serial
+
+
 def test_check_numeric_skip_names_reason(capsys):
     code, out = run(capsys, "check", "--A", "1,2", "--B", "2,3", "--n", "3",
                     "--backend", "bi", "--numeric", "--output", "json")

@@ -183,6 +183,10 @@ def test_empty_scalar_derivations():
     # and fixes the super-side constant
     assert derive_empty_scalar(AW) == uq.QP
     assert derive_empty_scalar(BI) == BI.casimir_counit
+    # the derived scalar is the stored one, hash included
+    for b in (AW, BI):
+        c = derive_empty_scalar(b)
+        assert c == b.casimir_counit and hash(c) == hash(b.casimir_counit)
     # and the casimir counit agrees with the stored scalar on both
     assert uq.casimir().counit(1) == AlgElem.scalar(AW, 0, AW.casimir_counit)
     assert osp.gamma_casimir().counit(1) == AlgElem.scalar(BI, 0, BI.casimir_counit)

@@ -119,3 +119,123 @@ def test_divexact_errors():
     with pytest.raises(ValueError):
         lp((2, 1), (0, 1)).divexact(lp((1, 1), (0, 1)))
     assert lp((4, 1), (0, -1)).divexact(lp((2, 1), (0, -1))) == lp((2, 1), (0, 1))
+
+
+# -- the factored fast path against the general gcd path ------------------------
+
+_SET = (lp((1, 1), (0, -1)), lp((1, 1), (0, 1)), lp((2, 1), (0, 1)))   # v-1, v+1, v^2+1
+
+
+def _set_product(rng, most):
+    p = LaurentPoly.mono(rng.randint(-3, 3), rng.choice((1, -1)))
+    for f in _SET:
+        for _ in range(rng.randint(0, most)):
+            p = p * f
+    return p
+
+
+def _factored_ratq(rng):
+    """An element whose denominator is +-v^k times a product of the factor
+    set, built from a numerator that often carries some of those factors."""
+    num = _random_poly(rng) * _set_product(rng, 1)
+    return RatQ.make(num, _set_product(rng, 2))
+
+
+def _general_form(num, den):
+    from awbi.qcoeff import _reduce
+    n, d = _reduce(num, den)
+    return n, d, {"num": [[e, str(c)] for e, c in sorted(n.d.items())],
+                  "den": [[e, str(c)] for e, c in sorted(d.d.items())]}
+
+
+def test_fast_path_equals_general_path():
+    rng = random.Random(20261018)
+    cancelled = 0
+    for _ in range(300):
+        a, b = _factored_ratq(rng), _factored_ratq(rng)
+        assert a.e is not None and b.e is not None
+        cases = [(a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+                 (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+                 (a * b, a.num * b.num, a.den * b.den)]
+        # a divisor whose numerator lies in the set keeps the quotient there
+        unit = RatQ.make(_set_product(rng, 1), _set_product(rng, 2))
+        cases.append((a / unit, a.num * unit.den, a.den * unit.num))
+        for r, num, den in cases:
+            n, d, js = _general_form(num, den)
+            assert r.e is not None
+            assert (r.num, r.den, r.to_json()) == (n, d, js)
+            assert hash(r) == hash((n, d))
+            cancelled += len(d.d) < len(den.d)
+        if b:                   # b.num may leave the set: either path
+            n, d, js = _general_form(a.num * b.den, a.den * b.num)
+            r = a / b
+            assert (r.num, r.den, r.to_json()) == (n, d, js)
+            assert hash(r) == hash((n, d))
+    assert cancelled > 100      # the samples do exercise cancellation
+
+
+def test_general_path_keeps_canonical_form():
+    v = lp((1, 1))
+    cases = [(lp((0, 3)), lp((0, 2)), lp((0, 3)), lp((0, 2))),          # 3/2
+             (lp((1, 2), (0, 2)), lp((2, 4), (0, -4)),                   # 2(v+1)/4(v^2-1)
+              lp((0, 1)), lp((1, 2), (0, -2))),
+             (lp((2, 1)), lp((4, 1), (3, 1), (2, 1)),                    # v^2/v^2(v^2+v+1)
+              lp((0, 1)), lp((2, 1), (1, 1), (0, 1))),
+             (lp((1, -1)), lp((1, -1), (0, 2)), v, lp((1, 1), (0, -2)))]  # v/(v-2)
+    for num, den, cnum, cden in cases:
+        r = RatQ.make(num, den)
+        assert r.e is None
+        assert (r.num, r.den) == (cnum, cden)
+        assert RatQ.from_json(r.to_json()) == r
+
+
+def test_general_result_inside_the_set_comes_back_factored():
+    x = RatQ.make(lp((0, 1)), lp((2, 1), (1, -3), (0, 2)))              # 1/((v-1)(v-2))
+    assert x.e is None
+    y = x * rq((1, 1), (0, -2))                                          # times (v-2)
+    assert y.e == (1, 0, 0) and y == RatQ.make(lp((0, 1)), lp((1, 1), (0, -1)))
+    assert hash(y) == hash(RatQ.make(lp((0, 1)), lp((1, 1), (0, -1))))
+    assert x - x == ZERO and (x - x).e is not None
+    assert RatQ.make(lp((0, 6)), lp((0, 6))) == ONE
+
+
+def test_mixed_fast_and_general_operands():
+    rng = random.Random(77)
+    points = (Fraction(3, 2), Fraction(-5, 7))
+    outside = (lp((0, 2)), lp((2, 1), (1, 1), (0, 1)), lp((1, 1), (0, -2)))
+    for _ in range(60):
+        fast = _factored_ratq(rng)
+        gen = ONE
+        while gen.e is not None:        # the numerator may cancel the outside factor
+            gen = RatQ.make(_random_poly(rng) or lp((0, 1)),
+                            rng.choice(outside) * _set_product(rng, 1))
+        for r, num, den in [(fast + gen, fast.num * gen.den + gen.num * fast.den,
+                             fast.den * gen.den),
+                            (gen - fast, gen.num * fast.den - fast.num * gen.den,
+                             fast.den * gen.den),
+                            (fast * gen, fast.num * gen.num, fast.den * gen.den)]:
+            n, d, js = _general_form(num, den)
+            assert (r.num, r.den, r.to_json()) == (n, d, js)
+            assert hash(r) == hash((n, d))
+            for x in points:
+                assert r.evaluate(x) == num.evaluate(x) / den.evaluate(x)
+
+
+def test_from_json_roundtrip_both_kinds():
+    rng = random.Random(8)
+    for _ in range(40):
+        for x in (_factored_ratq(rng), _random_ratq(rng)):
+            back = RatQ.from_json(x.to_json())
+            assert back == x and hash(back) == hash(x) and back.e == x.e
+
+
+def test_engine_path_runs_no_gcd(monkeypatch):
+    from awbi import qcoeff
+    from awbi.relations import check_star, get_backend
+
+    def refuse(*args):
+        raise AssertionError("polynomial gcd on the engine path")
+
+    monkeypatch.setattr(qcoeff, "_int_gcd_poly", refuse)
+    for name in ("aw", "bi"):
+        assert check_star((1, 2), (2, 3), 3, get_backend(name)).holds_star

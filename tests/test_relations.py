@@ -4,7 +4,7 @@ from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.relations import (check_comm, check_star, fundamental_families,
                             predict_pattern, q_identities_regression, scan,
-                            suite_commute, suite_fundamental,
+                            subsets, suite_commute, suite_fundamental,
                             suite_named_lemmas, suite_theorem_B,
                             theorem_pairs, EXPLICIT_COMM_PAIRS)
 
@@ -185,3 +185,11 @@ def test_scan_parallel_workers_match_serial():
            [(r.A, r.B, r.holds_star, r.holds_comm, r.pattern_predicted)
             for r in parallel]
     assert s1["star_holds"] == s2["star_holds"]
+
+
+def test_scan_with_workers_streams_every_report_in_pair_order():
+    seen = []
+    reports, _ = scan(3, AW, workers=2, progress=seen.append)
+    assert seen == reports
+    assert [(r.A, r.B) for r in seen] == \
+           [(A, B) for A in subsets(3) for B in subsets(3)]
