@@ -28,7 +28,7 @@ for g in AW.alphabets["R"].letters:
 
 seed = EdgeElem.casimir_delta(AW)
 print("\nCasimir coproduct, with both legs kept in the coideal alphabets:")
-for (lw, _, rw), c in seed.terms.items():
+for (lw, rw), c in seed.terms.items():
     print(f"  {'.'.join(lw)} (x) {'.'.join(rw)}   coeff {c.pretty()}")
 
 lhs = seed.tau_r().finalize()

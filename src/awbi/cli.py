@@ -10,25 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import numoracle, relations
 from .extension import IndexSet, build, derive_empty_scalar, make_plan
 from .relations import get_backend
-
-
-def _workers_default():
-    try:
-        return max(1, int(os.environ.get("AWBI_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _emit(obj, args):
-    if args.output == "json":
-        print(json.dumps(obj, sort_keys=True))
 
 
 def cmd_build(args) -> int:
@@ -76,8 +63,9 @@ def cmd_check(args) -> int:
         elif args.n > 3:
             numeric_verdict = "skipped (n > 3)"
         else:
-            lhs, rhs = relations.star_sides(A, B, args.n, backend) \
-                if args.relation == "star" else _comm_sides(A, B, args.n, backend)
+            sides = relations.star_sides if args.relation == "star" \
+                else relations.comm_sides
+            lhs, rhs = sides(A, B, args.n, backend)
             numeric_verdict = numoracle.crosscheck_points(lhs, rhs, (2,) * args.n)
     if args.output == "json":
         obj = rep.to_json(include_residual=args.full, include_timing=args.timing)
@@ -98,12 +86,6 @@ def cmd_check(args) -> int:
             print(f"residual has {residual.term_count()} terms:")
             print(residual.pretty(max_terms=6))
     return 0 if holds else 1
-
-
-def _comm_sides(A, B, n, backend):
-    from .extension import generator
-    return (generator(backend, n, A) * generator(backend, n, B),
-            generator(backend, n, B) * generator(backend, n, A))
 
 
 def cmd_scan(args) -> int:
@@ -332,7 +314,7 @@ def main(argv=None) -> int:
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-scan-n", type=int, default=4)
-    sp.add_argument("--workers", type=int, default=_workers_default())
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_scan)
 
     sp = sub.add_parser("selftest", help="run every verification suite")

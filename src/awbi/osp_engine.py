@@ -1,6 +1,8 @@
-"""osp_q(1|2) backend: normal forms with the parity generator P, the
-Casimir, the generator coproducts, and the coideal coactions for the
-q-Bannai-Ito family.
+"""osp_q(1|2) backend: the presentation only.  Normal forms with the
+parity generator P (the constants of the shared rank-one exchange in pbw),
+the Casimir, the generator coproducts, and the coideal letters and
+coactions for the q-Bannai-Ito family.  The letters' coproducts and the
+Casimir counit are derived in pbw.Backend.
 
 Presentation: generators A+, A-, K, K^-1, P with
     K A+ K^-1 = q^(1/2) A+,   K A- K^-1 = q^(-1/2) A-,
@@ -15,8 +17,8 @@ Right coideal alphabet: {A+K, A-K, K^2 P, Casimir}; left coideal alphabet:
 
 from __future__ import annotations
 
-from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, acc_term,
-                  bracket_q, term_dict as _d)
+from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, bracket_q,
+                  exchange, term_dict as _d)
 from .qcoeff import ONE, RatQ, lp, vpow
 
 # Packed factor layout: a- (10 bits) | a+ (10 bits) | k+2048 (12 bits) | p (1 bit).
@@ -40,53 +42,6 @@ SP = RatQ.from_poly(lp((1, 1), (-1, 1)))        # q^(1/2) + q^(-1/2)
 QM = RatQ.from_poly(lp((2, 1), (-2, -1)))       # q - q^-1
 SINV = ONE / SM
 
-_APAM_CACHE = {}
-_AP1_CACHE = {}
-
-
-def _ap_single(a):
-    """A+ A-^a in normal form: A+ A-^a = -A-(A+ A-^{a-1}) + S A-^{a-1},
-    with S = (K^2 - K^-2)/(q^(1/2) - q^(-1/2))."""
-    r = _AP1_CACHE.get(a)
-    if r is not None:
-        return r
-    if a == 0:
-        r = {_pack(0, 1, 0, 0): ONE}
-    else:
-        out = {}
-        for m, c in _ap_single(a - 1).items():
-            am, ap, k, _ = _unpack(m)
-            acc_term(out, _pack(am + 1, ap, k, 0), -c)
-        m0 = a - 1
-        acc_term(out, _pack(m0, 0, 2, 0), vpow(-2 * m0) * SINV)
-        acc_term(out, _pack(m0, 0, -2, 0), -(vpow(2 * m0) * SINV))
-        r = out
-    _AP1_CACHE[a] = r
-    return r
-
-
-def _apam(c, a):
-    """A+^c A-^a in normal form."""
-    key = (c, a)
-    r = _APAM_CACHE.get(key)
-    if r is not None:
-        return r
-    if c == 0 or a == 0:
-        r = {_pack(a, c, 0, 0): ONE}
-    elif c == 1:
-        r = _ap_single(a)
-    else:
-        out = {}
-        for m, coef in _ap_single(a).items():
-            a1, c1, b1, _ = _unpack(m)
-            for m2, coef2 in _apam(c - 1, a1).items():
-                a2, c2, b2, _ = _unpack(m2)
-                acc_term(out, _pack(a2, c2 + c1, b2 + b1, 0),
-                         coef * coef2 * vpow(b2 * c1))
-        r = out
-    _APAM_CACHE[key] = r
-    return r
-
 
 def _mul_mono(m1, m2):
     a1, c1, b1, p1 = _unpack(m1)
@@ -98,11 +53,12 @@ def _mul_mono(m1, m2):
         base = -base
     if c1 == 0 or a2 == 0:
         return ((_pack(a1 + a2, c1 + c2, b1 + b2, p), base),)
+    # rewrite A+^c1 A-^a2 as A-^am K^t A+^ap, then move K^t right past
+    # A+^(ap+c2)
     out = []
-    for m, c in _apam(c1, a2).items():
-        am, ap, b, _ = _unpack(m)
-        out.append((_pack(a1 + am, ap + c2, b + b1 + b2, p),
-                    base * c * vpow(b * c2)))
+    for (am, t, ap), c in exchange(c1, a2, -1, 2, SINV, 1, -1).items():
+        out.append((_pack(a1 + am, ap + c2, t + b1 + b2, p),
+                    base * c * vpow(t * (ap + c2))))
     return tuple(out)
 
 
@@ -120,9 +76,6 @@ _CASIMIR = {
     _pack(0, 0, 2, 1): -(VH / QM),
     _pack(0, 0, -2, 1): VHI / QM,
 }
-
-# counit of the Casimir; also the empty-set scalar for this family
-_CAS_COUNIT = -(ONE / SP)
 
 _ID = _pack(0, 0, 0, 0)
 _mAm = _pack(1, 0, 0, 0)        # A-
@@ -180,31 +133,6 @@ _L_TAU = {
     "Gam": ((_d((_ID, ONE)), "Gam"),),
 }
 
-_R_DELTA = {
-    "A+K": ((_d((_mApK, ONE)), "K2P"), (_d((_ID, ONE)), "A+K")),
-    "A-K": ((_d((_mAmK, ONE)), "K2P"), (_d((_ID, ONE)), "A-K")),
-    "K2P": ((_d((_mK2P, ONE)), "K2P"),),
-    "Gam": (
-        (dict(_CASIMIR), "K2P"),
-        (_d((_mKi2P, ONE)), "Gam"),
-        (_d((_mApKiP, VHI)), "A-K"),
-        (_d((_mAmKiP, -VH)), "A+K"),
-        (_d((_mKi2P, ONE / SP)), "K2P"),
-    ),
-}
-_L_DELTA = {
-    "A+KiP": ((_d((_ID, ONE)), "A+KiP"), (_d((_mApKiP, ONE)), "Ki2P")),
-    "A-KiP": ((_d((_ID, ONE)), "A-KiP"), (_d((_mAmKiP, ONE)), "Ki2P")),
-    "Ki2P": ((_d((_mKi2P, ONE)), "Ki2P"),),
-    "Gam": (
-        (_d((_mK2P, ONE)), "Gam"),
-        (dict(_CASIMIR), "Ki2P"),
-        (_d((_mAmK, VHI)), "A+KiP"),
-        (_d((_mApK, -VH)), "A-KiP"),
-        (_d((_mK2P, ONE / SP)), "Ki2P"),
-    ),
-}
-
 # coproduct of the Casimir, both legs in alphabet letters
 _CAS_DELTA = (
     ("Gam", "K2P", ONE),
@@ -230,10 +158,9 @@ BI = Backend(
     mul_mono=_mul_mono,
     gen_delta=_GEN_DELTA,
     casimir=_CASIMIR,
-    casimir_counit=_CAS_COUNIT,
     alphabets={
-        "R": Alphabet("R", ("A+K", "A-K", "K2P", "Gam"), _R_PBW, _R_TAU, _R_DELTA),
-        "L": Alphabet("L", ("A+KiP", "A-KiP", "Ki2P", "Gam"), _L_PBW, _L_TAU, _L_DELTA),
+        "R": Alphabet("R", ("A+K", "A-K", "K2P", "Gam"), _R_PBW, _R_TAU),
+        "L": Alphabet("L", ("A+KiP", "A-KiP", "Ki2P", "Gam"), _L_PBW, _L_TAU),
     },
     casimir_delta=_CAS_DELTA,
 )

@@ -1,7 +1,8 @@
-"""Core machinery shared by the two algebra backends: the Hopf structure
-on monomials derived from each backend's generator table, normal-form
-tensor elements, coideal edge words, and the build state that the
-extension processes act on.
+"""Core machinery shared by the two algebra backends: the rank-one
+exchange that straightens both, the Hopf structure on monomials derived
+from each backend's generator table, the coproducts of the coideal
+letters derived from it, normal-form tensor elements, coideal edge words,
+and the build state that the extension processes act on.
 
 An AlgElem is a linear combination of length-n tensor monomials in a fixed
 normal order, with field coefficients.  Monomials are packed into single
@@ -15,7 +16,9 @@ are permanently in normal form; asking for a coaction there raises.
 
 from __future__ import annotations
 
-from .qcoeff import ONE, ZERO, RatQ
+import functools
+
+from .qcoeff import ONE, ZERO, RatQ, vpow
 
 
 class CoactionError(Exception):
@@ -32,18 +35,19 @@ class Alphabet:
         retained coideal leg.  For side R the ambient leg sits left of the
         retained one; for side L it sits right.
     delta[g]: coproduct image in the same layout (the retained leg stays
-        in the alphabet because the subalgebra is a coideal).
+        in the alphabet because the subalgebra is a coideal); filled in by
+        the Backend from the monomial coproducts.
     """
 
     __slots__ = ("side", "letters", "pbw", "tau", "delta",
                  "_word_pbw_cache", "_word_img_cache")
 
-    def __init__(self, side, letters, pbw, tau, delta):
+    def __init__(self, side, letters, pbw, tau):
         self.side = side
         self.letters = letters
         self.pbw = pbw
         self.tau = tau
-        self.delta = delta
+        self.delta = None
         self._word_pbw_cache = {}
         self._word_img_cache = {}
 
@@ -52,13 +56,13 @@ class Backend:
     """Straightening rules, Hopf structure data and coideal alphabets for
     one algebra (instantiated once per backend module).
 
-    A backend module supplies what is specific to its algebra: the packed
-    monomial layout, the straightening of two monomials, the Casimir and
-    coideal tables, and gen_delta, which holds per packed field (in normal
-    order) the coproduct of that field's generator as an arity-2 term dict,
-    or None when the generator is group-like.  The coproduct, counit and
-    label of every monomial are derived here from gen_delta and
-    field_names.
+    A backend module supplies its presentation: the packed monomial
+    layout, the straightening of two monomials, the Casimir, the letter
+    PBW and coaction tables, casimir_delta, and gen_delta, which holds per
+    packed field (in normal order) the coproduct of that field's generator
+    as an arity-2 term dict, or None when the generator is group-like.
+    Derived here: the coproduct, counit and label of every monomial, the
+    Casimir counit, and the coproduct table of every coideal letter.
     """
 
     __slots__ = ("name", "field_names", "identity", "pack", "unpack",
@@ -66,7 +70,7 @@ class Backend:
                  "alphabets", "casimir_delta", "_mul_cache", "_delta_cache")
 
     def __init__(self, name, field_names, pack, unpack, mul_mono, gen_delta,
-                 casimir, casimir_counit, alphabets, casimir_delta):
+                 casimir, alphabets, casimir_delta):
         self.name = name
         self.field_names = field_names
         self.pack = pack
@@ -74,12 +78,17 @@ class Backend:
         self._mul_mono_raw = mul_mono
         self.gen_delta = gen_delta
         self.casimir = casimir                  # arity-1 term dict
-        self.casimir_counit = casimir_counit    # RatQ scalar, also the empty-set value
         self.alphabets = alphabets              # {"R": Alphabet, "L": Alphabet}
         self.casimir_delta = casimir_delta      # tuple of (L letter, R letter, coeff)
         self._mul_cache = {}
         self._delta_cache = {}
         self.identity = pack(*([0] * len(field_names)))
+        # RatQ scalar, also the empty-set value
+        self.casimir_counit = ZERO
+        for m, c in casimir.items():
+            self.casimir_counit = self.casimir_counit + c * self.counit_mono(m)
+        for side in ("R", "L"):
+            alphabets[side].delta = self._letter_deltas(side)
 
     def __reduce__(self):
         # each backend is one module-level instance: a worker process
@@ -128,6 +137,38 @@ class Backend:
                 for name, e in zip(self.field_names, self.unpack(m)) if e]
         return ".".join(bits) or "1"
 
+    def _letter_deltas(self, side):
+        """Coproduct table of one alphabet.  A one-monomial letter c*m takes
+        c * delta_mono(m), each retained leg read back as a letter; the
+        Casimir letter takes casimir_delta, its ambient leg expanded in the
+        other alphabet."""
+        alpha = self.alphabets[side]
+        other = self.alphabets["L" if side == "R" else "R"]
+        letter_of = {}                          # mono -> (letter, scalar)
+        for g in alpha.letters:
+            if len(alpha.pbw[g]) == 1:
+                (m, c), = alpha.pbw[g].items()
+                letter_of[m] = (g, c)
+        table = {}
+        for g in alpha.letters:
+            rows = []
+            if alpha.pbw[g] == self.casimir:
+                for gl, gr, c in self.casimir_delta:
+                    amb, kept = (gl, gr) if side == "R" else (gr, gl)
+                    rows.append(({m: c * x for m, x in other.pbw[amb].items()}, kept))
+            else:
+                (m, c), = alpha.pbw[g].items()
+                for a, b, dc in self.delta_mono(m):
+                    amb, kept = (a, b) if side == "R" else (b, a)
+                    if kept not in letter_of:
+                        raise ValueError(
+                            f"{self.name}: coproduct of side-{side} letter {g} "
+                            f"keeps {self.mono_pretty(kept)}, which is not a letter")
+                    g2, s = letter_of[kept]
+                    rows.append(({amb: c * dc / s}, g2))
+            table[g] = tuple(rows)
+        return table
+
     def __repr__(self):
         return f"Backend({self.name})"
 
@@ -157,16 +198,9 @@ def term_dict(*pairs):
     return out
 
 
-def dict_mul1(backend, a, b):
-    """Product of two arity-1 term dicts."""
-    out = {}
-    mul = backend.mul_mono
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            c12 = c1 * c2
-            for m, c in mul(m1, m2):
-                acc_term(out, m, c12 * c)
-    return out
+def _keyed(d):
+    """Arity-1 term dict {mono: coeff} as a term dict on 1-tuple keys."""
+    return {(m,): c for m, c in d.items()}
 
 
 def mul_terms(mul, a, b):
@@ -192,6 +226,54 @@ def mul_terms(mul, a, b):
                              for k, cc in parts for m, fc in fr]
             for k, cc in parts:
                 acc_term(out, k, cc)
+    return out
+
+
+def leg_coproduct(backend, terms, i):
+    """Coproduct on the packed leg at index i of every key; keys grow by
+    one leg."""
+    dm = backend.delta_mono
+    out = {}
+    for k, c in terms.items():
+        head, tail = k[:i], k[i + 1:]
+        for ma, mb, dc in dm(k[i]):
+            acc_term(out, head + (ma, mb) + tail, c * dc)
+    return out
+
+
+def leg_counit(backend, terms, i):
+    """Counit on the packed leg at index i of every key; keys shrink by
+    one leg."""
+    eps = backend.counit_mono
+    out = {}
+    for k, c in terms.items():
+        e = eps(k[i])
+        if not e.is_zero():
+            acc_term(out, k[:i] + k[i + 1:], c * e)
+    return out
+
+
+@functools.cache
+def exchange(c, a, sign, step, den, wx, wy):
+    """X^c Y^a as {(a', t, c'): coeff} in the order Y^a' T^t X^c', for a
+    rank-one pair with
+        X Y = sign Y X + den (T^step - T^-step),
+        T X = v^wx X T,   T Y = v^wy Y T   (v = q^(1/2)).
+    One step X Y^a = sign Y (X Y^(a-1)) + den (T^step - T^-step) Y^(a-1);
+    then X^c Y^a = X^(c-1) (X Y^a), moving each T left past the X's."""
+    if c == 0 or a == 0:
+        return {(a, 0, c): ONE}
+    out = {}
+    if c == 1:
+        for (a1, t1, c1), x in exchange(1, a - 1, sign, step, den, wx, wy).items():
+            acc_term(out, (a1 + 1, t1, c1), x if sign > 0 else -x)
+        w = wy * step * (a - 1)
+        acc_term(out, (a - 1, step, 0), vpow(w) * den)
+        acc_term(out, (a - 1, -step, 0), -(vpow(-w) * den))
+        return out
+    for (a1, t1, c1), x in exchange(1, a, sign, step, den, wx, wy).items():
+        for (a2, t2, c2), y in exchange(c - 1, a1, sign, step, den, wx, wy).items():
+            acc_term(out, (a2, t1 + t2, c1 + c2), x * y * vpow(-wx * t1 * c2))
     return out
 
 
@@ -232,13 +314,8 @@ class AlgElem:
         return AlgElem(backend, arity, {(backend.identity,) * arity: c})
 
     @staticmethod
-    def from_factor_dict(backend, d):
-        """Arity-1 element from a term dict."""
-        return AlgElem(backend, 1, {(m,): c for m, c in d.items()})
-
-    @staticmethod
     def casimir(backend):
-        return AlgElem.from_factor_dict(backend, backend.casimir)
+        return AlgElem(backend, 1, _keyed(backend.casimir))
 
     # -- predicates ----------------------------------------------------------
 
@@ -304,33 +381,20 @@ class AlgElem:
     def coproduct(self, pos: int) -> "AlgElem":
         """Apply the coproduct to the factor at position pos (1-based);
         arity grows by one."""
-        if not 1 <= pos <= self.arity:
-            raise ValueError(f"position {pos} out of range 1..{self.arity}")
-        backend = self.backend
-        dm = backend.delta_mono
-        out = {}
-        i = pos - 1
-        for k, c in self.terms.items():
-            head, tail = k[:i], k[i + 1:]
-            for ma, mb, dc in dm(k[i]):
-                acc_term(out, head + (ma, mb) + tail, c * dc)
-        return AlgElem(backend, self.arity + 1, out)
+        self._check_pos(pos)
+        return AlgElem(self.backend, self.arity + 1,
+                       leg_coproduct(self.backend, self.terms, pos - 1))
 
     def counit(self, pos: int) -> "AlgElem":
         """Collapse the factor at position pos to its counit scalar;
         arity shrinks by one."""
+        self._check_pos(pos)
+        return AlgElem(self.backend, self.arity - 1,
+                       leg_counit(self.backend, self.terms, pos - 1))
+
+    def _check_pos(self, pos):
         if not 1 <= pos <= self.arity:
             raise ValueError(f"position {pos} out of range 1..{self.arity}")
-        backend = self.backend
-        eps = backend.counit_mono
-        out = {}
-        i = pos - 1
-        for k, c in self.terms.items():
-            e = eps(k[i])
-            if e.is_zero():
-                continue
-            acc_term(out, k[:i] + k[i + 1:], c * e)
-        return AlgElem(backend, self.arity - 1, out)
 
     def pad(self, left: int, right: int) -> "AlgElem":
         """Tensor identity legs onto both sides."""
@@ -442,36 +506,37 @@ class CoidealWord:
         alpha = self.backend.alphabets[self.side]
         out = {}
         for w, c in self.terms.items():
-            for m, x in _word_pbw(self.backend, alpha, w).items():
-                acc_term(out, m, c * x)
-        return AlgElem.from_factor_dict(self.backend, out)
+            for k, x in _word_pbw(self.backend, alpha, w).items():
+                acc_term(out, k, c * x)
+        return AlgElem(self.backend, 1, out)
 
     def __repr__(self):
         return f"CoidealWord({self.backend.name}/{self.side}, {self.terms})"
 
 
 def _word_pbw(backend, alpha: Alphabet, word):
+    """Normal form of a word, keyed by 1-tuples."""
     d = alpha._word_pbw_cache.get(word)
     if d is None:
-        d = {backend.identity: ONE}
+        d = {(backend.identity,): ONE}
         for g in word:
-            d = dict_mul1(backend, d, alpha.pbw[g])
+            d = mul_terms(backend.mul_mono, d, _keyed(alpha.pbw[g]))
         alpha._word_pbw_cache[word] = d
     return d
 
 
 def _word_image(backend, alpha: Alphabet, table_name, word):
     """Image of a word under the coaction or coproduct table, multiplied
-    out: list of (ambient arity-1 term dict, retained word, coeff)."""
+    out: list of (ambient term dict on 1-tuple keys, retained word, coeff)."""
     key = (table_name, word)
     r = alpha._word_img_cache.get(key)
     if r is None:
         table = alpha.tau if table_name == "tau" else alpha.delta
-        parts = [({backend.identity: ONE}, (), ONE)]
+        parts = [({(backend.identity,): ONE}, (), ONE)]
         for g in word:
             img = table[g]
             parts = [
-                (dict_mul1(backend, u, ug), w + (g2,), c)
+                (mul_terms(backend.mul_mono, u, _keyed(ug)), w + (g2,), c)
                 for (u, w, c) in parts
                 for (ug, g2) in img
             ]
@@ -487,9 +552,9 @@ def _word_image(backend, alpha: Alphabet, table_name, word):
 class EdgeElem:
     """Tensor element whose outer legs may still be coideal words.
 
-    Keys are (lword, mids, rword) with lword/rword either a word tuple or
-    None (edge already in normal form and merged into mids).  The flags
-    has_l / has_r are uniform over all terms.
+    Keys are flat tuples of legs: the first leg is a word tuple when has_l,
+    the last one is a word tuple when has_r, and every other leg is a
+    packed monomial in normal form.  The flags are uniform over all terms.
     """
 
     __slots__ = ("backend", "has_l", "has_r", "terms")
@@ -502,9 +567,9 @@ class EdgeElem:
 
     @property
     def arity(self):
-        for (l, mids, r) in self.terms:
-            return len(mids) + (l is not None) + (r is not None)
-        return (1 if self.has_l else 0) + (1 if self.has_r else 0)
+        for k in self.terms:
+            return len(k)
+        return self.has_l + self.has_r
 
     # -- constructors ---------------------------------------------------------
 
@@ -514,15 +579,14 @@ class EdgeElem:
         is the seed every multi-element construction starts from."""
         terms = {}
         for gl, gr, c in backend.casimir_delta:
-            acc_term(terms, ((gl,), (), (gr,)), c)
+            acc_term(terms, ((gl,), (gr,)), c)
         return EdgeElem(backend, True, True, terms)
 
     @staticmethod
     def from_word(word: CoidealWord) -> "EdgeElem":
+        terms = {(w,): c for w, c in word.terms.items()}
         if word.side == "R":
-            terms = {(None, (), w): c for w, c in word.terms.items()}
             return EdgeElem(word.backend, False, True, terms)
-        terms = {(w, (), None): c for w, c in word.terms.items()}
         return EdgeElem(word.backend, True, False, terms)
 
     # -- coactions and coproducts on edges --------------------------------------
@@ -557,52 +621,31 @@ class EdgeElem:
         backend = self.backend
         alpha = backend.alphabets[side]
         out = {}
-        if side == "R":
-            for (l, mids, w), c in self.terms.items():
-                for (u, w2, ci) in _word_image(backend, alpha, table_name, w):
-                    cc = c * ci
-                    for m, cu in u.items():
-                        acc_term(out, (l, mids + (m,), w2), cc * cu)
-        else:
-            for (w, mids, r), c in self.terms.items():
-                for (u, w2, ci) in _word_image(backend, alpha, table_name, w):
-                    cc = c * ci
-                    for m, cu in u.items():
-                        acc_term(out, (w2, (m,) + mids, r), cc * cu)
+        for k, c in self.terms.items():
+            rest, w = (k[:-1], k[-1]) if side == "R" else (k[1:], k[0])
+            for (u, w2, ci) in _word_image(backend, alpha, table_name, w):
+                cc = c * ci
+                for m, cu in u.items():
+                    key = rest + m + (w2,) if side == "R" else (w2,) + m + rest
+                    acc_term(out, key, cc * cu)
         return EdgeElem(backend, self.has_l, self.has_r, out)
 
     # -- operations on interior (normal-form) legs ------------------------------
 
     def _mid_index(self, pos):
-        i = pos - 1 - (1 if self.has_l else 0)
-        n_mid = self.arity - (1 if self.has_l else 0) - (1 if self.has_r else 0)
-        if not 0 <= i < n_mid:
+        i = pos - 1
+        if not self.has_l <= i < self.arity - self.has_r:
             raise CoactionError(f"position {pos} is not an interior leg")
         return i
 
     def delta_mid(self, pos) -> "EdgeElem":
         """Coproduct on an interior normal-form leg."""
-        backend = self.backend
-        i = self._mid_index(pos)
-        dm = backend.delta_mono
-        out = {}
-        for (l, mids, r), c in self.terms.items():
-            head, tail = mids[:i], mids[i + 1:]
-            for ma, mb, dc in dm(mids[i]):
-                acc_term(out, (l, head + (ma, mb) + tail, r), c * dc)
-        return EdgeElem(backend, self.has_l, self.has_r, out)
+        return EdgeElem(self.backend, self.has_l, self.has_r,
+                        leg_coproduct(self.backend, self.terms, self._mid_index(pos)))
 
     def counit_mid(self, pos) -> "EdgeElem":
-        backend = self.backend
-        i = self._mid_index(pos)
-        eps = backend.counit_mono
-        out = {}
-        for (l, mids, r), c in self.terms.items():
-            e = eps(mids[i])
-            if e.is_zero():
-                continue
-            acc_term(out, (l, mids[:i] + mids[i + 1:], r), c * e)
-        return EdgeElem(backend, self.has_l, self.has_r, out)
+        return EdgeElem(self.backend, self.has_l, self.has_r,
+                        leg_counit(self.backend, self.terms, self._mid_index(pos)))
 
     # -- finalization ------------------------------------------------------------
 
@@ -611,17 +654,19 @@ class EdgeElem:
         backend = self.backend
         aR = backend.alphabets["R"]
         aL = backend.alphabets["L"]
-        out = {}
         arity = self.arity
-        for (l, mids, r), c in self.terms.items():
-            lparts = _word_pbw(backend, aL, l).items() if l is not None else ((None, ONE),)
-            rparts = _word_pbw(backend, aR, r).items() if r is not None else ((None, ONE),)
+        lo, hi = int(self.has_l), arity - self.has_r
+        unit = (((), ONE),)
+        out = {}
+        for k, c in self.terms.items():
+            lparts = _word_pbw(backend, aL, k[0]).items() if self.has_l else unit
+            rparts = _word_pbw(backend, aR, k[-1]).items() if self.has_r else unit
+            mids = k[lo:hi]
             for ml, cl in lparts:
-                head = mids if ml is None else (ml,) + mids
+                head = ml + mids
                 ccl = c * cl
                 for mr, cr in rparts:
-                    key = head if mr is None else head + (mr,)
-                    acc_term(out, key, ccl * cr)
+                    acc_term(out, head + mr, ccl * cr)
         return AlgElem(backend, arity, out)
 
     def __repr__(self):

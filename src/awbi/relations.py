@@ -152,11 +152,17 @@ def check_star(A, B, n, backend) -> RelationReport:
                           elapsed=time.perf_counter() - t0)
 
 
+def comm_sides(A, B, n, backend):
+    """G_A G_B and G_B G_A, through the shared product cache."""
+    return _prod(backend, n, A, B), _prod(backend, n, B, A)
+
+
 def check_comm(A, B, n, backend) -> RelationReport:
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
-    residual = _prod(backend, n, A, B) - _prod(backend, n, B, A)
+    lhs, rhs = comm_sides(A, B, n, backend)
+    residual = lhs - rhs
     return RelationReport(A, B, n, backend.name,
                           holds_comm=residual.is_zero(), residual_comm=residual,
                           elapsed=time.perf_counter() - t0)

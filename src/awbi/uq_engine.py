@@ -1,7 +1,9 @@
-"""U_q(sl2) backend: straightening of PBW monomials, the generator
-coproducts, the Casimir element, and the two coactions on the coideal
-subalgebras generated by {EK^-1, F, K^-1, Casimir} (right) and
-{E, FK, K, Casimir} (left).
+"""U_q(sl2) backend: the presentation only.  Straightening of PBW
+monomials (the constants of the shared rank-one exchange in pbw), the
+generator coproducts, the Casimir element, and the letters and coactions
+of the coideal subalgebras generated by {EK^-1, F, K^-1, Casimir} (right)
+and {E, FK, K, Casimir} (left).  The letters' coproducts and the Casimir
+counit are derived in pbw.Backend.
 
 Presentation: generators E, F, K, K^-1 with
     K K^-1 = 1,   K E = q^2 E K,   K F = q^-2 F K,
@@ -11,8 +13,8 @@ Monomials are normal-ordered as F^f K^k E^e.
 
 from __future__ import annotations
 
-from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, acc_term,
-                  bracket_q, term_dict as _d)
+from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, bracket_q,
+                  exchange, term_dict as _d)
 from .qcoeff import ONE, RatQ, lp, vpow
 
 # Packed factor layout: f (10 bits) | k+2048 (12 bits) | e (10 bits).
@@ -37,54 +39,6 @@ QP = RatQ.from_poly(lp((2, 1), (-2, 1)))       # q + q^-1
 QM2 = QM * QM                                  # (q - q^-1)^2
 DINV = ONE / QM                                # 1 / (q - q^-1)
 
-_EF_CACHE = {}
-_EF1_CACHE = {}
-
-
-def _ef_single(f):
-    """E F^f in normal form (arity-1 term dict), by one straightening step
-    and recursion: E F^f = F (E F^{f-1}) + C F^{f-1} with
-    C = (K - K^-1)/(q - q^-1)."""
-    r = _EF1_CACHE.get(f)
-    if r is not None:
-        return r
-    if f == 0:
-        r = {_pack(0, 0, 1): ONE}
-    else:
-        out = {}
-        for m, c in _ef_single(f - 1).items():
-            a, b, e = _unpack(m)
-            acc_term(out, _pack(a + 1, b, e), c)
-        m0 = f - 1
-        acc_term(out, _pack(m0, 1, 0), vpow(-4 * m0) * DINV)
-        acc_term(out, _pack(m0, -1, 0), -(vpow(4 * m0) * DINV))
-        r = out
-    _EF1_CACHE[f] = r
-    return r
-
-
-def _ef(e, f):
-    """E^e F^f in normal form."""
-    key = (e, f)
-    r = _EF_CACHE.get(key)
-    if r is not None:
-        return r
-    if e == 0 or f == 0:
-        r = {_pack(f, 0, e): ONE}
-    elif e == 1:
-        r = _ef_single(f)
-    else:
-        out = {}
-        for m, c in _ef_single(f).items():
-            a, b, ee = _unpack(m)
-            for m2, c2 in _ef(e - 1, a).items():
-                a2, b2, e3 = _unpack(m2)
-                acc_term(out, _pack(a2, b2 + b, e3 + ee),
-                         c * c2 * vpow(-4 * e3 * b))
-        r = out
-    _EF_CACHE[key] = r
-    return r
-
 
 def _mul_mono(m1, m2):
     f1, k1, e1 = _unpack(m1)
@@ -98,8 +52,7 @@ def _mul_mono(m1, m2):
     base = vpow(4 * k1 * e1 - 4 * k1 * f2)
     k12 = k1 + k2
     out = []
-    for m, c in _ef(e1, f2).items():
-        a, b, e = _unpack(m)
+    for (a, b, e), c in exchange(e1, f2, 1, 1, DINV, 4, -4).items():
         out.append((_pack(f1 + a, b + k12, e + e2),
                     base * c * vpow(-4 * e * k12)))
     return tuple(out)
@@ -123,11 +76,8 @@ _mFK = _pack(1, 1, 0)
 _mF2K = _pack(2, 1, 0)
 _mKiE = _pack(0, -1, 1)
 
-# E K^-1 = q^2 K^-1 E
-_EKi_PBW = _d((_mKiE, vpow(4)))
-
 _R_PBW = {
-    "EKi": _EKi_PBW,
+    "EKi": _d((_mKiE, vpow(4))),            # E K^-1 = q^2 K^-1 E
     "F": _d((_mF, ONE)),
     "Ki": _d((_mKi, ONE)),
     "Lam": dict(_CASIMIR),
@@ -171,34 +121,6 @@ _L_TAU = {
     "Lam": ((_d((_ID, ONE)), "Lam"),),
 }
 
-# coproducts of the alphabet letters, retained leg kept in the alphabet
-_R_DELTA = {
-    "EKi": ((dict(_EKi_PBW), "Ki"), (_d((_ID, ONE)), "EKi")),
-    "F": ((_d((_mF, ONE)), "Ki"), (_d((_ID, ONE)), "F")),
-    "Ki": ((_d((_mKi, ONE)), "Ki"),),
-    "Lam": (
-        (dict(_CASIMIR), "Ki"),
-        (_d((_mK, ONE)), "Lam"),
-        (_d((_mK, -QP)), "Ki"),
-        (_d((_mE, QM2)), "F"),
-        (_d((_mFK, vpow(-4) * QM2)), "EKi"),
-    ),
-}
-# q^-2 (q-q^-1)^2 FK (x) EK^-1 has ambient right leg
-# q^-2 (q-q^-1)^2 EK^-1 = (q-q^-1)^2 K^-1 E
-_L_DELTA = {
-    "E": ((_d((_ID, ONE)), "E"), (_d((_mE, ONE)), "K")),
-    "FK": ((_d((_ID, ONE)), "FK"), (_d((_mFK, ONE)), "K")),
-    "K": ((_d((_mK, ONE)), "K"),),
-    "Lam": (
-        (_d((_mKi, ONE)), "Lam"),
-        (dict(_CASIMIR), "K"),
-        (_d((_mKi, -QP)), "K"),
-        (_d((_mF, QM2)), "E"),
-        (_d((_mKiE, QM2)), "FK"),
-    ),
-}
-
 # coproduct of the Casimir with both legs in alphabet letters
 _CAS_DELTA = (
     ("Lam", "Ki", ONE),
@@ -223,10 +145,9 @@ AW = Backend(
     mul_mono=_mul_mono,
     gen_delta=_GEN_DELTA,
     casimir=_CASIMIR,
-    casimir_counit=QP,
     alphabets={
-        "R": Alphabet("R", ("EKi", "F", "Ki", "Lam"), _R_PBW, _R_TAU, _R_DELTA),
-        "L": Alphabet("L", ("E", "FK", "K", "Lam"), _L_PBW, _L_TAU, _L_DELTA),
+        "R": Alphabet("R", ("EKi", "F", "Ki", "Lam"), _R_PBW, _R_TAU),
+        "L": Alphabet("L", ("E", "FK", "K", "Lam"), _L_PBW, _L_TAU),
     },
     casimir_delta=_CAS_DELTA,
 )

@@ -71,6 +71,23 @@ def test_check_numeric_flag(capsys):
     assert obj["numeric"] is True
 
 
+def test_check_comm_numeric_multiplies_each_product_once(capsys, monkeypatch):
+    from awbi import relations
+    calls = []
+    real = AlgElem.__mul__
+
+    def mul(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    relations.clear_caches()
+    monkeypatch.setattr(AlgElem, "__mul__", mul)
+    code, out = run(capsys, "check", "--A", "1,2", "--B", "2,3", "--n", "3",
+                    "--relation", "comm", "--numeric")
+    assert code == 1 and "numeric verdict" in out
+    assert len(calls) == 2
+
+
 def test_check_bad_set_is_error_exit(capsys):
     code = main(["check", "--A", "1,9", "--B", "2", "--n", "3"])
     assert code == 2

@@ -7,6 +7,7 @@ moves on purpose (schema change), recompute and update it here.
 """
 
 import hashlib
+import itertools
 import json
 
 from awbi.extension import generator
@@ -22,6 +23,15 @@ GOLDEN = {
         "c4cfcefd980d057ede01035d559ca4e257b540097767669222dfd52303d688c5",
 }
 
+# single-factor straightening and monomial coproducts on a grid of
+# exponents (E/F/A+- in 0..3, K in -1..1, P in 0..1) plus the Casimir counit
+STRAIGHTENING = {
+    "aw": (((0, 1, 2, 3), (-1, 0, 1), (0, 1, 2, 3)),
+           "2e85fd69b7c12c0da1aea7c29ca21cbee5dc7c1981cc30ae381f95364b5fe101"),
+    "bi": (((0, 1, 2, 3), (0, 1, 2, 3), (-1, 0, 1), (0, 1)),
+           "0c5da0b01489ad3a6cdb6182b65190359e9c13d5fc3a94a3921a9b0dc64d8740"),
+}
+
 
 def _digest(backend, elems, n):
     g = generator(backend, n, elems)
@@ -33,3 +43,24 @@ def test_golden_json_digests():
     backends = {"aw": AW, "bi": BI}
     for (name, elems, n), expected in GOLDEN.items():
         assert _digest(backends[name], elems, n) == expected, (name, elems)
+
+
+def _straightening_digest(backend, ranges):
+    unpack = backend.unpack
+    monos = [backend.pack(*e) for e in itertools.product(*ranges)]
+    blob = {
+        "mul": [sorted((list(unpack(m)), c.to_json())
+                       for m, c in backend.mul_mono(m1, m2))
+                for m1 in monos for m2 in monos],
+        "delta": [sorted((list(unpack(a)), list(unpack(b)), c.to_json())
+                         for a, b, c in backend.delta_mono(m))
+                  for m in monos],
+        "casimir_counit": backend.casimir_counit.to_json(),
+    }
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+def test_straightening_digests():
+    for backend in (AW, BI):
+        ranges, expected = STRAIGHTENING[backend.name]
+        assert _straightening_digest(backend, ranges) == expected, backend.name

@@ -131,7 +131,7 @@ def test_casimir_coproduct_in_coideal_alphabets():
     # both its legs must be expressible in the coideal alphabets
     seed = EdgeElem.casimir_delta(BI)
     assert seed.finalize() == GAM.coproduct(1)
-    for (lw, _, rw) in seed.terms:
+    for (lw, rw) in seed.terms:
         assert all(g in BI.alphabets["L"].letters for g in lw)
         assert all(g in BI.alphabets["R"].letters for g in rw)
 
@@ -172,7 +172,7 @@ def test_coideal_property_tables():
             st = EdgeElem.from_word(w)
             table = st.delta_r() if side == "R" else st.delta_l()
             for key in table.terms:
-                word = key[2] if side == "R" else key[0]
+                word = key[-1] if side == "R" else key[0]
                 assert all(letter in alpha.letters for letter in word)
             assert table.finalize() == w.expand().coproduct(1)
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from awbi import uq_engine as uq
-from awbi.pbw import AlgElem, CoidealWord, EdgeElem, CoactionError
+from awbi.pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem,
+                      CoactionError)
 from awbi.qcoeff import ONE, vpow
 
 AW = uq.AW
@@ -181,9 +182,21 @@ def test_coideal_property_tables():
             st = EdgeElem.from_word(w)
             table = (st.delta_r() if side == "R" else st.delta_l())
             for key in table.terms:
-                word = key[2] if side == "R" else key[0]
+                word = key[-1] if side == "R" else key[0]
                 assert all(letter in alpha.letters for letter in word)
             assert table.finalize() == w.expand().coproduct(1)
+
+
+def test_letter_coproduct_outside_the_alphabet_is_rejected():
+    # give the right letter F the monomial of E: Delta(E) = E (x) 1 + K (x) E
+    # keeps the identity on the right, and the identity is no right letter
+    R, L = AW.alphabets["R"], AW.alphabets["L"]
+    bad_pbw = dict(R.pbw, F={AW.pack(0, 0, 1): ONE})
+    alphabets = {"R": Alphabet("R", R.letters, bad_pbw, R.tau),
+                 "L": Alphabet("L", L.letters, L.pbw, L.tau)}
+    with pytest.raises(ValueError, match="side-R letter F "):
+        Backend("aw-bad", AW.field_names, AW.pack, AW.unpack, uq._mul_mono,
+                AW.gen_delta, AW.casimir, alphabets, AW.casimir_delta)
 
 
 def test_tau_well_defined_on_relations():
