@@ -8,21 +8,20 @@ three-leg element.  That identity is what makes the ascending and
 descending constructions interchangeable.
 """
 
-from awbi import uq_engine as uq
 from awbi.pbw import CoidealWord, EdgeElem
-
-AW = uq.AW
+from awbi.uq_engine import AW
 
 print("right coaction on the alphabet letters:")
 for g in AW.alphabets["R"].letters:
-    t = uq.tau_R(uq.coideal_word("R", g)).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", g)).tau_r().finalize()
     print(f"  tau_R({g}) has {t.term_count()} terms")
 
 print("\ncomodule axioms, letter by letter:")
 for g in AW.alphabets["R"].letters:
-    t = uq.tau_R(uq.coideal_word("R", g))
+    w = CoidealWord.letter(AW, "R", g)
+    t = EdgeElem.from_word(w).tau_r()
     coassoc = t.tau_r().finalize() == t.delta_mid(1).finalize()
-    counit = t.counit_mid(1).finalize() == uq.coideal_word("R", g).expand()
+    counit = t.counit_mid(1).finalize() == w.expand()
     print(f"  {g}: (1 x tau)tau == (Delta x 1)tau: {coassoc}, "
           f"(eps x 1)tau == id: {counit}")
 

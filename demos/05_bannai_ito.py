@@ -6,13 +6,12 @@ use the q-anticommutator, the empty set gets the scalar -1/(q^1/2+q^-1/2),
 and every structural theorem transfers verbatim.
 """
 
-from awbi import osp_engine as osp
 from awbi.extension import derive_empty_scalar, generator
+from awbi.osp_engine import BI
+from awbi.pbw import AlgElem
 from awbi.relations import check_star, scan
 
-BI = osp.BI
-
-gam = osp.gamma_casimir()
+gam = AlgElem.casimir(BI)
 print("Casimir normal form (parity exponent is 1 on every term):")
 print(gam.pretty())
 

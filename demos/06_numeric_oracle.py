@@ -21,7 +21,7 @@ M = rep_matrices(2, q)
 print(f"  K  = diag{tuple(M['K'][i][i] for i in range(2))}")
 
 spec = RepSpec((2,), Fraction(3, 2))
-cas = evaluate(uq.casimir(), spec)
+cas = evaluate(AlgElem.casimir(uq.AW), spec)
 print(f"  Casimir acts as the scalar {cas[0][0]} "
       f"(= q^2 + q^-2 = {q**2 + q**-2})")
 

@@ -239,7 +239,6 @@ def _field_axiom_failures(seed, rounds=60):
 def _hopf_axiom_failures(backend, seed, rounds=25):
     import random
     from .pbw import AlgElem, CoidealWord, EdgeElem
-    from .qcoeff import ONE
     rng = random.Random(seed)
     bad = []
 
@@ -249,7 +248,7 @@ def _hopf_axiom_failures(backend, seed, rounds=25):
         else:
             exps = (rng.randint(0, 2), rng.randint(0, 2),
                     rng.randint(-2, 2), rng.randint(0, 1))
-        return AlgElem(backend, 1, {(backend.pack(*exps),): ONE})
+        return AlgElem.mono(backend, exps)
 
     cas = AlgElem.casimir(backend)
     for x in [relem() for _ in range(6)] + [cas]:
@@ -283,17 +282,18 @@ def main(argv=None) -> int:
                     "Casimir generator algebras")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    flag_help = {"--timing": "include timings in JSON output (breaks "
+                             "byte-for-byte determinism)",
+                 "--full": "include full element JSON / all terms"}
+
+    def common(sp, *flags):
         sp.add_argument("--backend", choices=("aw", "bi"), default="aw")
         sp.add_argument("--output", choices=("human", "json"), default="human")
-        sp.add_argument("--timing", action="store_true",
-                        help="include timings in JSON output (breaks "
-                             "byte-for-byte determinism)")
-        sp.add_argument("--full", action="store_true",
-                        help="include full element JSON / all terms")
+        for flag in flags:
+            sp.add_argument(flag, action="store_true", help=flag_help[flag])
 
     sp = sub.add_parser("build", help="construct one generator")
-    common(sp)
+    common(sp, "--full")
     sp.add_argument("--set", required=True, help='index set, e.g. "1,3-5,8"')
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--process", default="right",
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("check", help="check one relation")
-    common(sp)
+    common(sp, "--timing", "--full")
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -311,14 +311,13 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("scan", help="classify every ordered pair of subsets")
-    common(sp)
+    common(sp, "--timing")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-scan-n", type=int, default=4)
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_scan)
 
     sp = sub.add_parser("selftest", help="run every verification suite")
-    common(sp)
     sp.add_argument("--n", type=int, default=3,
                     help="exhaustive suite arity")
     sp.add_argument("--max-equiv-n", type=int, default=3)

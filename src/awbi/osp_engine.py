@@ -17,8 +17,7 @@ Right coideal alphabet: {A+K, A-K, K^2 P, Casimir}; left coideal alphabet:
 
 from __future__ import annotations
 
-from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, bracket_q,
-                  exchange, term_dict as _d)
+from .pbw import Alphabet, Backend, exchange, term_dict as _d
 from .qcoeff import ONE, RatQ, lp, vpow
 
 # Packed factor layout: a- (10 bits) | a+ (10 bits) | k+2048 (12 bits) | p (1 bit).
@@ -60,11 +59,6 @@ def _mul_mono(m1, m2):
         out.append((_pack(a1 + am, ap + c2, t + b1 + b2, p),
                     base * c * vpow(t * (ap + c2))))
     return tuple(out)
-
-
-def _parity(m):
-    am, ap, _, _ = _unpack(m)
-    return (am + ap) & 1
 
 
 # -- the Casimir and the coideal tables ----------------------------------------
@@ -164,47 +158,3 @@ BI = Backend(
     },
     casimir_delta=_CAS_DELTA,
 )
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def element(mono_exps, coeff=ONE) -> AlgElem:
-    """Arity-1 element coeff * A-^a A+^c K^k P^p from (a, c, k, p)."""
-    return AlgElem(BI, 1, {(_pack(*mono_exps),): coeff})
-
-
-def gen(name: str) -> AlgElem:
-    exps = {"A+": (0, 1, 0, 0), "A-": (1, 0, 0, 0),
-            "K": (0, 0, 1, 0), "Ki": (0, 0, -1, 0), "P": (0, 0, 0, 1)}[name]
-    return element(exps)
-
-
-def gamma_casimir() -> AlgElem:
-    return AlgElem.casimir(BI)
-
-
-def q_comm(x: AlgElem, y: AlgElem, sign: str = "inv") -> AlgElem:
-    """Plain commutator (sign="inv") or [x,y]_q with q-weights."""
-    if sign == "inv":
-        return bracket_q(x, y, ONE, -ONE)
-    if sign == "q":
-        return bracket_q(x, y, vpow(2), -vpow(-2))
-    raise ValueError(f"unknown sign {sign!r}")
-
-
-def coideal_word(side: str, name: str) -> CoidealWord:
-    return CoidealWord.letter(BI, side, name)
-
-
-def osp_tau_R(x: CoidealWord) -> EdgeElem:
-    if x.side != "R":
-        raise ValueError("tau_R needs a right-alphabet word")
-    return EdgeElem.from_word(x).tau_r()
-
-
-def osp_tau_L(x: CoidealWord) -> EdgeElem:
-    if x.side != "L":
-        raise ValueError("tau_L needs a left-alphabet word")
-    return EdgeElem.from_word(x).tau_l()

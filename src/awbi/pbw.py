@@ -314,6 +314,11 @@ class AlgElem:
         return AlgElem(backend, arity, {(backend.identity,) * arity: c})
 
     @staticmethod
+    def mono(backend, exps, coeff=ONE):
+        """Arity-1 element coeff times the monomial with field exponents exps."""
+        return AlgElem(backend, 1, {(backend.pack(*exps),): coeff})
+
+    @staticmethod
     def casimir(backend):
         return AlgElem(backend, 1, _keyed(backend.casimir))
 

@@ -50,12 +50,6 @@ class LaurentPoly:
         return _LP_ZERO
 
     @staticmethod
-    def const(c):
-        if c == 0:
-            return _LP_ZERO
-        return LaurentPoly({0: int(c)}, _trusted=True)
-
-    @staticmethod
     def mono(exp, coeff=1):
         """coeff * v^exp"""
         if coeff == 0:
@@ -312,27 +306,12 @@ def _int_gcd_poly(a, b):
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd of the primitive parts over Q, returned as a primitive integer
-    polynomial with valuation 0 and positive leading coefficient."""
-    if a.is_zero():
-        return _primitive(b)
-    if b.is_zero():
-        return _primitive(a)
+    polynomial with valuation 0 and positive leading coefficient.  Both
+    operands are nonzero."""
     if len(a.d) == 1 or len(b.d) == 1:
         return _LP_ONE
     g = _int_gcd_poly(_idense(a, -a.valuation()), _idense(b, -b.valuation()))
     return LaurentPoly({i: c for i, c in enumerate(g) if c}, _trusted=True)
-
-
-def _primitive(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
-        return _LP_ZERO
-    c = p.content()
-    if p.leading_coeff() < 0:
-        c = -c
-    q = p.shift(-p.valuation())
-    if c != 1:
-        q = LaurentPoly({e: x // c for e, x in q.d.items()}, _trusted=True)
-    return q
 
 
 _LP_ZERO = LaurentPoly({}, _trusted=True)
@@ -437,7 +416,7 @@ class RatQ:
     denominator the engines produce, only the exponent triple e is
     stored and den reads D(e) from a shared cache.  Otherwise e is None
     and den is stored as it is (the general path).  Build elements with
-    make, from_int or from_poly; the constructor trusts its arguments.
+    make or from_poly; the constructor trusts its arguments.
     """
 
     __slots__ = ("num", "e", "_den")
@@ -471,14 +450,6 @@ class RatQ:
                 return RatQ(num, None, den)
         (s, c), = split[0].d.items()
         return RatQ(*_strip(num.shift(-s).scale(c), split[1]))
-
-    @staticmethod
-    def from_int(c) -> "RatQ":
-        if c == 0:
-            return ZERO
-        if c == 1:
-            return ONE
-        return RatQ(LaurentPoly.const(c), _UNIT)
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RatQ":

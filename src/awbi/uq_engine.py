@@ -13,8 +13,7 @@ Monomials are normal-ordered as F^f K^k E^e.
 
 from __future__ import annotations
 
-from .pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem, bracket_q,
-                  exchange, term_dict as _d)
+from .pbw import Alphabet, Backend, exchange, term_dict as _d
 from .qcoeff import ONE, RatQ, lp, vpow
 
 # Packed factor layout: f (10 bits) | k+2048 (12 bits) | e (10 bits).
@@ -151,53 +150,3 @@ AW = Backend(
     },
     casimir_delta=_CAS_DELTA,
 )
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def element(mono_exps, coeff=ONE) -> AlgElem:
-    """Arity-1 element coeff * F^f K^k E^e from (f, k, e)."""
-    return AlgElem(AW, 1, {(_pack(*mono_exps),): coeff})
-
-
-def gen(name: str) -> AlgElem:
-    """One of the generators E, F, K, Ki as an arity-1 element."""
-    exps = {"E": (0, 0, 1), "F": (1, 0, 0), "K": (0, 1, 0), "Ki": (0, -1, 0)}[name]
-    return element(exps)
-
-
-def casimir() -> AlgElem:
-    return AlgElem.casimir(AW)
-
-
-def mul(x: AlgElem, y: AlgElem) -> AlgElem:
-    return x * y
-
-
-def q_comm(x: AlgElem, y: AlgElem, sign: str = "q") -> AlgElem:
-    """[x,y]_q = q x y - q^-1 y x, or the plain commutator for sign="inv"."""
-    if sign == "q":
-        return bracket_q(x, y, Q1, -QI)
-    if sign == "inv":
-        return bracket_q(x, y, ONE, -ONE)
-    raise ValueError(f"unknown sign {sign!r}")
-
-
-def coideal_word(side: str, name: str) -> CoidealWord:
-    return CoidealWord.letter(AW, side, name)
-
-
-def tau_R(x: CoidealWord) -> EdgeElem:
-    """Right coaction; returns an arity-2 element whose second leg is
-    retained as a coideal word."""
-    if x.side != "R":
-        raise ValueError("tau_R needs a right-alphabet word")
-    return EdgeElem.from_word(x).tau_r()
-
-
-def tau_L(x: CoidealWord) -> EdgeElem:
-    if x.side != "L":
-        raise ValueError("tau_L needs a left-alphabet word")
-    return EdgeElem.from_word(x).tau_l()

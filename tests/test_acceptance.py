@@ -20,7 +20,7 @@ from awbi.extension import (IndexSet, build, derive_empty_scalar, generator,
                             plan_derived, plan_left, plan_mixed, plan_right)
 from awbi.numoracle import (DEFAULT_POINTS, RepSpec, crosscheck_points,
                             evaluate, mat_add, mat_mul)
-from awbi.pbw import AlgElem, EdgeElem
+from awbi.pbw import AlgElem, EdgeElem, bracket_q
 from awbi.relations import (check_star, q_identities_regression,
                             relation_scalars, scan, star_sides, suite_commute,
                             suite_fundamental, suite_named_lemmas,
@@ -243,11 +243,12 @@ def test_criterion_08_minimality_scan_n4():
 def test_criterion_09_hopf_comodule_axioms():
     t0 = time.perf_counter()
     ok = True
-    for backend, gens in ((AW, ("E", "F", "K", "Ki")),
-                          (BI, ("A+", "A-", "K", "Ki", "P"))):
-        engine = uq if backend is AW else osp
+    for backend, gens in (
+            (AW, ((0, 0, 1), (1, 0, 0), (0, 1, 0), (0, -1, 0))),   # E F K Ki
+            (BI, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0),        # A+ A- K
+                  (0, 0, -1, 0), (0, 0, 0, 1)))):                    # Ki P
         cas = AlgElem.casimir(backend)
-        elems = [engine.gen(g) for g in gens] + [cas]
+        elems = [AlgElem.mono(backend, g) for g in gens] + [cas]
         for x in elems:
             d = x.coproduct(1)
             ok &= d.coproduct(2) == d.coproduct(1)          # coassociativity
@@ -312,8 +313,9 @@ def _identity_pool_n3():
                  seed.tau_l().finalize()))
     # nested bracket exchange with a central first argument
     a, c, d = generator(AW, 3, (1,)), generator(AW, 3, (1, 2)), generator(AW, 3, (2, 3))
-    pool.append(("exchange", uq.q_comm(a, uq.q_comm(c, d)),
-                 uq.q_comm(uq.q_comm(a, c), d)))
+    qc = (uq.Q1, -uq.QI)
+    pool.append(("exchange", bracket_q(a, bracket_q(c, d, *qc), *qc),
+                 bracket_q(bracket_q(a, c, *qc), d, *qc)))
     return pool
 
 

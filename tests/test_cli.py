@@ -125,6 +125,27 @@ def test_selftest_small(capsys):
     assert "field axioms" in out and "Hopf/comodule" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--full"],
+    ["selftest", "--timing"],
+    ["selftest", "--output", "json"],
+    ["scan", "--n", "2", "--full"],
+    ["build", "--set", "1", "--n", "2", "--timing"],
+])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_selftest_backend_prefix_selects_one_backend(capsys):
+    code, out = run(capsys, "selftest", "--n", "2", "--max-equiv-n", "1",
+                    "--fundamental-arity", "2", "--backend", "bi")
+    assert code == 0
+    assert "[bi] selftest" in out and "[aw]" not in out
+
+
 def test_config_validation(capsys):
     assert main(["scan", "--n", "2", "--workers", "0"]) == 2
     assert main(["scan", "--n", "2", "--max-scan-n", "1"]) == 2

@@ -42,13 +42,13 @@ def test_degenerate_q_rejected():
 def test_two_dim_casimir_scalar():
     spec = RepSpec((2,), Fraction(3, 2))
     q = Fraction(9, 4)
-    m = evaluate(uq.casimir(), spec)
+    m = evaluate(AlgElem.casimir(AW), spec)
     assert m == mat_scale(mat_identity(2), q ** 2 + q ** -2)
 
 
 def test_three_dim_casimir_is_scalar():
     spec = RepSpec((3,), Fraction(3, 2))
-    m = evaluate(uq.casimir(), spec)
+    m = evaluate(AlgElem.casimir(AW), spec)
     c = m[0][0]
     assert m == mat_scale(mat_identity(3), c)
 
@@ -76,8 +76,8 @@ def test_evaluation_is_multiplicative():
 def test_pair_generator_commutes_with_coproduct_image():
     spec = RepSpec((2, 2), Fraction(3, 2))
     g12 = evaluate(generator(AW, 2, (1, 2)), spec)
-    for name in ("E", "F", "K"):
-        img = evaluate(uq.gen(name).coproduct(1), spec)
+    for exps in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):          # E, F, K
+        img = evaluate(AlgElem.mono(AW, exps).coproduct(1), spec)
         assert mat_mul(g12, img) == mat_mul(img, g12)
 
 
@@ -107,9 +107,9 @@ def test_cotensor_numeric():
 def test_arity_mismatch_and_backend_guard():
     spec = RepSpec((2, 2), Fraction(3, 2))
     with pytest.raises(ValueError):
-        evaluate(uq.casimir(), spec)
+        evaluate(AlgElem.casimir(AW), spec)
     with pytest.raises(ValueError):
-        evaluate(osp.gamma_casimir(), RepSpec((2,), Fraction(3, 2)))
+        evaluate(AlgElem.casimir(osp.BI), RepSpec((2,), Fraction(3, 2)))
 
 
 def test_mixed_dims():

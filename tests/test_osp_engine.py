@@ -9,8 +9,9 @@ from awbi.pbw import AlgElem, CoidealWord, EdgeElem, acc_term
 from awbi.qcoeff import ONE, vpow
 
 BI = osp.BI
-AP, AM, K, KI, P = (osp.gen(g) for g in ("A+", "A-", "K", "Ki", "P"))
-GAM = osp.gamma_casimir()
+AP, AM, K, KI, P = (AlgElem.mono(BI, e) for e in (
+    (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1)))
+GAM = AlgElem.casimir(BI)
 
 
 def test_defining_relations():
@@ -43,7 +44,7 @@ def test_pack_rejects_exponents_outside_the_layout():
         with pytest.raises(ValueError):
             BI.pack(*exps)
     with pytest.raises(ValueError):
-        osp.element((0, 1023, 0, 0)) * osp.gen("A+")
+        AlgElem.mono(BI, (0, 1023, 0, 0)) * AP
 
 
 def test_casimir():
@@ -53,8 +54,8 @@ def test_casimir():
              - (KI * KI).scale(osp.VH / osp.QM)) * P
     assert built == GAM
     for g in (AP, AM, K, P):
-        assert osp.q_comm(GAM, g).is_zero()
-    assert osp.q_comm(GAM * GAM, AP).is_zero()
+        assert (GAM * g - g * GAM).is_zero()
+    assert (GAM * GAM * AP - AP * (GAM * GAM)).is_zero()
     assert all(BI.unpack(k[0])[3] == 1 for k in GAM.terms)
     assert GAM.counit(1) == AlgElem.scalar(BI, 0, BI.casimir_counit)
 
@@ -78,10 +79,10 @@ def test_coproduct_is_algebra_morphism():
     assert dP * dP == AlgElem.one(BI, 2)
     rng = random.Random(11)
     for _ in range(50):
-        x = osp.element((rng.randint(0, 2), rng.randint(0, 2),
-                         rng.randint(-2, 2), rng.randint(0, 1)))
-        y = osp.element((rng.randint(0, 2), rng.randint(0, 2),
-                         rng.randint(-2, 2), rng.randint(0, 1)))
+        x = AlgElem.mono(BI, (rng.randint(0, 2), rng.randint(0, 2),
+                              rng.randint(-2, 2), rng.randint(0, 1)))
+        y = AlgElem.mono(BI, (rng.randint(0, 2), rng.randint(0, 2),
+                              rng.randint(-2, 2), rng.randint(0, 1)))
         assert (x * y).coproduct(1) == x.coproduct(1) * y.coproduct(1)
 
 
@@ -90,7 +91,7 @@ def test_graded_tensor_convention_fails():
     # coproduct would NOT respect the anticommutator relation
     def koszul_mul(x, y):
         out = {}
-        parity = osp._parity
+        parity = lambda m: sum(BI.unpack(m)[:2]) & 1
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
                 sign = parity(k1[1]) * parity(k2[0])
@@ -137,31 +138,31 @@ def test_casimir_coproduct_in_coideal_alphabets():
 
 
 def test_tau_images():
-    t = osp.osp_tau_R(osp.coideal_word("R", "Gam")).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(BI, "R", "Gam")).tau_r().finalize()
     assert t == GAM.pad(1, 0)
     # tau_R(K^2 P) = 1 (x) K^2P - (q - q^-1) A+K (x) A-K
-    t = osp.osp_tau_R(osp.coideal_word("R", "K2P")).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(BI, "R", "K2P")).tau_r().finalize()
     k2p = K * K * P
     expected = k2p.pad(1, 0) - ((AP * K).pad(0, 1) * (AM * K).pad(1, 0)).scale(osp.QM)
     assert t == expected
     # (eps (x) 1) tau_R = id on A+K
-    w = osp.coideal_word("R", "A+K")
-    assert osp.osp_tau_R(w).counit_mid(1).finalize() == w.expand()
+    w = CoidealWord.letter(BI, "R", "A+K")
+    assert EdgeElem.from_word(w).tau_r().counit_mid(1).finalize() == w.expand()
     # tau_L(A- K^-1 P) = A-K^-1P (x) K^-2P
-    t = osp.osp_tau_L(osp.coideal_word("L", "A-KiP")).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(BI, "L", "A-KiP")).tau_l().finalize()
     amkip = AM * KI * P
     assert t == amkip.pad(0, 1) * (KI * KI * P).pad(1, 0)
 
 
 def test_comodule_axioms():
     for g in BI.alphabets["R"].letters:
-        t = osp.osp_tau_R(osp.coideal_word("R", g))
+        t = EdgeElem.from_word(CoidealWord.letter(BI, "R", g)).tau_r()
         assert t.tau_r().finalize() == t.delta_mid(1).finalize()
-        assert t.counit_mid(1).finalize() == osp.coideal_word("R", g).expand()
+        assert t.counit_mid(1).finalize() == CoidealWord.letter(BI, "R", g).expand()
     for g in BI.alphabets["L"].letters:
-        t = osp.osp_tau_L(osp.coideal_word("L", g))
+        t = EdgeElem.from_word(CoidealWord.letter(BI, "L", g)).tau_l()
         assert t.tau_l().finalize() == t.delta_mid(2).finalize()
-        assert t.counit_mid(2).finalize() == osp.coideal_word("L", g).expand()
+        assert t.counit_mid(2).finalize() == CoidealWord.letter(BI, "L", g).expand()
 
 
 def test_coideal_property_tables():
@@ -178,7 +179,7 @@ def test_coideal_property_tables():
 
 
 def test_tau_well_defined_on_relations():
-    W = lambda g: osp.coideal_word("R", g)
+    W = lambda g: CoidealWord.letter(BI, "R", g)
     unit = CoidealWord(BI, "R", {(): ONE})
     q1, qi = vpow(2), vpow(-2)
     rels = [
@@ -193,7 +194,7 @@ def test_tau_well_defined_on_relations():
         assert r.expand().is_zero()
         assert EdgeElem.from_word(r).tau_r().finalize().is_zero()
 
-    WL = lambda g: osp.coideal_word("L", g)
+    WL = lambda g: CoidealWord.letter(BI, "L", g)
     unitL = CoidealWord(BI, "L", {(): ONE})
     rels = [
         WL("Ki2P") * WL("A+KiP") + (WL("A+KiP") * WL("Ki2P")).scale(qi),

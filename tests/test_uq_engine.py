@@ -6,12 +6,13 @@ import pytest
 
 from awbi import uq_engine as uq
 from awbi.pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem,
-                      CoactionError)
+                      CoactionError, bracket_q)
 from awbi.qcoeff import ONE, vpow
 
 AW = uq.AW
-E, F, K, Ki = (uq.gen(g) for g in ("E", "F", "K", "Ki"))
-LAM = uq.casimir()
+E, F, K, Ki = (AlgElem.mono(AW, e)
+               for e in ((0, 0, 1), (1, 0, 0), (0, 1, 0), (0, -1, 0)))
+LAM = AlgElem.casimir(AW)
 
 
 def test_defining_relations():
@@ -47,24 +48,24 @@ def test_pack_rejects_exponents_outside_the_layout():
         with pytest.raises(ValueError):
             AW.pack(*exps)
     with pytest.raises(ValueError):
-        uq.element((0, 0, 1023)) * uq.gen("E")
+        AlgElem.mono(AW, (0, 0, 1023)) * E
 
 
 def test_arity_mismatch_raises():
     with pytest.raises(ValueError):
-        uq.mul(LAM, LAM.coproduct(1))
+        LAM * LAM.coproduct(1)
 
 
 def test_q_comm():
     x = F * E
-    assert uq.q_comm(x, x) == (x * x).scale(uq.QM)
-    assert uq.q_comm(E, F, "inv") == (K - Ki).scale(uq.DINV)
+    assert bracket_q(x, x, uq.Q1, -uq.QI) == (x * x).scale(uq.QM)
+    assert bracket_q(E, F, ONE, -ONE) == (K - Ki).scale(uq.DINV)
 
 
 def test_casimir_normal_form_and_centrality():
     assert LAM == (F * E).scale(uq.QM2) + K.scale(uq.Q1) + Ki.scale(uq.QI)
     for g in (E, F, K, Ki):
-        assert uq.q_comm(LAM, g, "inv").is_zero()
+        assert (LAM * g - g * LAM).is_zero()
     assert LAM.counit(1) == AlgElem.scalar(AW, 0, uq.QP)
 
 
@@ -87,9 +88,7 @@ def test_casimir_coproduct_display():
 
 
 def test_coproduct_is_algebra_morphism():
-    weights = {"E": vpow(4), "F": vpow(-4)}
-    for name, w in weights.items():
-        g = uq.gen(name)
+    for g, w in ((E, vpow(4)), (F, vpow(-4))):
         lhs = (K * g).coproduct(1)
         rhs = (g * K).coproduct(1).scale(w)
         assert lhs == rhs
@@ -98,8 +97,10 @@ def test_coproduct_is_algebra_morphism():
     assert lhs == (K - Ki).scale(uq.DINV).coproduct(1)
     rng = random.Random(42)
     for _ in range(50):
-        x = uq.element((rng.randint(0, 2), rng.randint(-2, 2), rng.randint(0, 2)))
-        y = uq.element((rng.randint(0, 2), rng.randint(-2, 2), rng.randint(0, 2)))
+        x = AlgElem.mono(AW, (rng.randint(0, 2), rng.randint(-2, 2),
+                              rng.randint(0, 2)))
+        y = AlgElem.mono(AW, (rng.randint(0, 2), rng.randint(-2, 2),
+                              rng.randint(0, 2)))
         assert (x * y).coproduct(1) == x.coproduct(1) * y.coproduct(1)
 
 
@@ -140,36 +141,36 @@ def test_associativity_randomized():
 
 def test_tau_r_images():
     # tau_R(Cas) = 1 (x) Cas
-    t = uq.tau_R(uq.coideal_word("R", "Lam"))
+    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", "Lam")).tau_r()
     assert t.finalize() == LAM.pad(1, 0)
     # tau_R(K^-1) = 1 (x) K^-1 - q^-1 (q-q^-1)^2 F (x) EK^-1
-    t = uq.tau_R(uq.coideal_word("R", "Ki")).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", "Ki")).tau_r().finalize()
     expected = (AlgElem.one(AW, 1).pad(0, 1) * Ki.pad(1, 0)
                 - (F.pad(0, 1) * (E * Ki).pad(1, 0)).scale(uq.QI * uq.QM2))
     assert t == expected
 
 
 def test_tau_l_images():
-    t = uq.tau_L(uq.coideal_word("L", "Lam")).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(AW, "L", "Lam")).tau_l().finalize()
     assert t == LAM.pad(0, 1)
     # tau_L(K) = K (x) 1 - q^-1 (q-q^-1)^2 E (x) FK
-    t = uq.tau_L(uq.coideal_word("L", "K")).finalize()
+    t = EdgeElem.from_word(CoidealWord.letter(AW, "L", "K")).tau_l().finalize()
     expected = K.pad(0, 1) - (E.pad(0, 1) * (F * K).pad(1, 0)).scale(uq.QI * uq.QM2)
     assert t == expected
     # (1 (x) eps) tau_L = id on FK
-    w = uq.coideal_word("L", "FK")
-    assert uq.tau_L(w).counit_mid(2).finalize() == w.expand()
+    w = CoidealWord.letter(AW, "L", "FK")
+    assert EdgeElem.from_word(w).tau_l().counit_mid(2).finalize() == w.expand()
 
 
 def test_comodule_axioms():
     for g in AW.alphabets["R"].letters:
-        t = uq.tau_R(uq.coideal_word("R", g))
+        t = EdgeElem.from_word(CoidealWord.letter(AW, "R", g)).tau_r()
         assert t.tau_r().finalize() == t.delta_mid(1).finalize()
-        assert t.counit_mid(1).finalize() == uq.coideal_word("R", g).expand()
+        assert t.counit_mid(1).finalize() == CoidealWord.letter(AW, "R", g).expand()
     for g in AW.alphabets["L"].letters:
-        t = uq.tau_L(uq.coideal_word("L", g))
+        t = EdgeElem.from_word(CoidealWord.letter(AW, "L", g)).tau_l()
         assert t.tau_l().finalize() == t.delta_mid(2).finalize()
-        assert t.counit_mid(2).finalize() == uq.coideal_word("L", g).expand()
+        assert t.counit_mid(2).finalize() == CoidealWord.letter(AW, "L", g).expand()
 
 
 def test_coideal_property_tables():
@@ -201,7 +202,7 @@ def test_letter_coproduct_outside_the_alphabet_is_rejected():
 
 def test_tau_well_defined_on_relations():
     q2, qm2 = vpow(4), vpow(-4)
-    W = lambda g: uq.coideal_word("R", g)
+    W = lambda g: CoidealWord.letter(AW, "R", g)
     unit = CoidealWord(AW, "R", {(): ONE})
     rels = [
         W("Ki") * W("EKi") - (W("EKi") * W("Ki")).scale(qm2),
@@ -214,7 +215,7 @@ def test_tau_well_defined_on_relations():
         assert r.expand().is_zero()
         assert EdgeElem.from_word(r).tau_r().finalize().is_zero()
 
-    WL = lambda g: uq.coideal_word("L", g)
+    WL = lambda g: CoidealWord.letter(AW, "L", g)
     unitL = CoidealWord(AW, "L", {(): ONE})
     rels = [
         WL("K") * WL("E") - (WL("E") * WL("K")).scale(q2),
@@ -231,8 +232,8 @@ def test_tau_well_defined_on_relations():
 def test_tau_on_equal_words_two_ways():
     # K^-1 . EK^-1 and EK^-1 . K^-1 represent proportional elements; their
     # coaction images must match after expansion with the same scalar
-    w1 = uq.coideal_word("R", "Ki") * uq.coideal_word("R", "EKi")
-    w2 = uq.coideal_word("R", "EKi") * uq.coideal_word("R", "Ki")
+    w1 = CoidealWord.letter(AW, "R", "Ki") * CoidealWord.letter(AW, "R", "EKi")
+    w2 = CoidealWord.letter(AW, "R", "EKi") * CoidealWord.letter(AW, "R", "Ki")
     assert w1.expand() == w2.expand().scale(vpow(-4))
     img1 = EdgeElem.from_word(w1).tau_r().finalize()
     img2 = EdgeElem.from_word(w2).tau_r().finalize()
@@ -258,7 +259,7 @@ def test_iterated_coaction_equals_leading_coproducts():
     # (1^2 (x) tauR)(1 (x) tauR) tauR = (Delta (x) 1^2)(Delta (x) 1) tauR
     # on each right letter; the same exchange drives gap-widening rewrites
     for g in AW.alphabets["R"].letters:
-        t = uq.tau_R(uq.coideal_word("R", g))
+        t = EdgeElem.from_word(CoidealWord.letter(AW, "R", g)).tau_r()
         lhs = t.tau_r().tau_r().finalize()
         rhs = t.delta_mid(1).delta_mid(1).finalize()
         assert lhs == rhs
@@ -269,7 +270,7 @@ def test_iterated_coaction_equals_leading_coproducts():
 
 
 def test_coaction_on_normalized_leg_rejected():
-    t = uq.tau_R(uq.coideal_word("R", "F"))
+    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", "F")).tau_r()
     with pytest.raises(CoactionError):
         t.tau_l()
 
