@@ -13,6 +13,14 @@ Monomials are normal-ordered as A-^a A+^c K^k P^p with p in {0, 1}.
 The tensor product is the ordinary, ungraded one: every sign lives in P.
 Right coideal alphabet: {A+K, A-K, K^2 P, Casimir}; left coideal alphabet:
 {A+K^-1 P, A-K^-1 P, K^-2 P, Casimir}.
+
+Rescaling for the lattice basis of pbw.Lattice: A+ has weight 1, one
+weight unit stands for q^(1/2) - q^(-1/2) and the generator normaliser is
+lambda = q - q^-1.  Then A+' = (q^(1/2) - q^(-1/2)) A+ satisfies
+    A+' A- + A- A+' = K^2 - K^-2,
+every lambda-scaled generator is integral (the empty-set value becomes
+lambda * c_empty = -(q^(1/2) - q^(-1/2))), and relation-check products
+straighten over Z[v, v^-1].
 """
 
 from __future__ import annotations
@@ -157,4 +165,5 @@ BI = Backend(
         "L": Alphabet("L", ("A+KiP", "A-KiP", "Ki2P", "Gam"), _L_PBW, _L_TAU),
     },
     casimir_delta=_CAS_DELTA,
+    rescaling=((0, 1, 0, 0), SM, QM),
 )

@@ -1,13 +1,21 @@
 """Core machinery shared by the two algebra backends: the rank-one
 exchange that straightens both, the Hopf structure on monomials derived
 from each backend's generator table, the coproducts of the coideal
-letters derived from it, normal-form tensor elements, coideal edge words,
-and the build state that the extension processes act on.
+letters derived from it, the rescaled lattice basis that relation checks
+multiply in, normal-form tensor elements, coideal edge words, and the
+build state that the extension processes act on.
 
 An AlgElem is a linear combination of length-n tensor monomials in a fixed
 normal order, with field coefficients.  Monomials are packed into single
 integers per tensor factor; term maps are plain dicts keyed by tuples of
 packed factors.  All values are immutable by convention and safe to share.
+
+Generators are built in the published basis, over Q(v).  Products for
+relation checks are straightened in each backend's Lattice twin instead,
+where generators, products and the straightening table all have Laurent
+polynomial coefficients, so the product loop never meets a denominator.
+Conversion happens only at the edges: a generator once when it enters the
+lattice, a residual or a printed side when it leaves.
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as words over a coideal alphabet (EdgeElem).  Interior legs
@@ -61,16 +69,19 @@ class Backend:
     PBW and coaction tables, casimir_delta, and gen_delta, which holds per
     packed field (in normal order) the coproduct of that field's generator
     as an arity-2 term dict, or None when the generator is group-like.
+    It also declares its rescaling (weights, factor, normaliser), from
+    which the Lattice twin is derived on first use (see Lattice).
     Derived here: the coproduct, counit and label of every monomial, the
     Casimir counit, and the coproduct table of every coideal letter.
     """
 
     __slots__ = ("name", "field_names", "identity", "pack", "unpack",
                  "_mul_mono_raw", "gen_delta", "casimir", "casimir_counit",
-                 "alphabets", "casimir_delta", "_mul_cache", "_delta_cache")
+                 "alphabets", "casimir_delta", "rescaling", "_lattice",
+                 "_mul_cache", "_delta_cache")
 
     def __init__(self, name, field_names, pack, unpack, mul_mono, gen_delta,
-                 casimir, alphabets, casimir_delta):
+                 casimir, alphabets, casimir_delta, rescaling):
         self.name = name
         self.field_names = field_names
         self.pack = pack
@@ -80,6 +91,8 @@ class Backend:
         self.casimir = casimir                  # arity-1 term dict
         self.alphabets = alphabets              # {"R": Alphabet, "L": Alphabet}
         self.casimir_delta = casimir_delta      # tuple of (L letter, R letter, coeff)
+        self.rescaling = rescaling              # (weights, factor, normaliser)
+        self._lattice = None
         self._mul_cache = {}
         self._delta_cache = {}
         self.identity = pack(*([0] * len(field_names)))
@@ -96,9 +109,18 @@ class Backend:
         from .relations import get_backend
         return get_backend, (self.name,)
 
+    @property
+    def lattice(self) -> "Lattice":
+        """The rescaled twin that relation checks multiply in, derived on
+        first use."""
+        if self._lattice is None:
+            self._lattice = Lattice(self)
+        return self._lattice
+
     def mul_mono(self, m1, m2):
         """Normal form of a product of two single-factor monomials, as a
-        tuple of (mono, coeff) pairs.  Memoized; this is the hot path."""
+        tuple of (mono, coeff) pairs.  Memoized; this is the hot path of
+        generator construction."""
         key = (m1, m2)
         r = self._mul_cache.get(key)
         if r is None:
@@ -171,6 +193,101 @@ class Backend:
 
     def __repr__(self):
         return f"Backend({self.name})"
+
+
+class Lattice:
+    """The rescaled twin of a backend: the same monomials, each standing for
+    factor^w(m) times the published one, where w(m) is the weighted sum of
+    its field exponents under the backend's rescaling
+    (weights, factor, normaliser).
+
+    A generator x enters the lattice as normaliser * x, so the lattice
+    coefficient of m is normaliser * c * factor^-w(m).  The straightening
+    table is read off the published one: the coefficient c of m in m1*m2
+    becomes c * factor^(w(m1) + w(m2) - w(m)).  Every coefficient here is a
+    LaurentPoly; one whose denominator is not 1 raises ValueError naming
+    the backend and the monomial.  A lattice element is an AlgElem over
+    this twin, multiplied by the unchanged mul_terms, and a product of two
+    converted generators is normaliser^2 times the published product.
+    """
+
+    __slots__ = ("backend", "name", "weights", "factor", "normaliser",
+                 "_weight", "_scales", "_back", "_mul_cache")
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.name = f"{backend.name}-lattice"
+        self.weights, self.factor, self.normaliser = backend.rescaling
+        self._weight = {}       # mono -> w(mono)
+        self._scales = {}       # (w, d) -> factor^w * normaliser^d
+        self._back = {}         # (LaurentPoly, w) -> published coefficient
+        self._mul_cache = {}
+
+    def weight(self, m):
+        """w(m), memoised."""
+        w = self._weight.get(m)
+        if w is None:
+            w = self._weight[m] = sum(
+                x * e for x, e in zip(self.weights, self.backend.unpack(m)))
+        return w
+
+    def _scale(self, w, d):
+        """factor^w * normaliser^d as a field element, memoised."""
+        s = self._scales.get((w, d))
+        if s is None:
+            s = ONE
+            for x, e in ((self.factor, w), (self.normaliser, d)):
+                for _ in range(abs(e)):
+                    s = s * x if e > 0 else s / x
+            self._scales[(w, d)] = s
+        return s
+
+    def integral(self, c: RatQ, key=()):
+        """The Laurent polynomial c, which must have denominator 1; key
+        names the tensor monomial c belongs to."""
+        if not c.den.is_one():
+            mono = " x ".join(map(self.backend.mono_pretty, key)) or "scalar"
+            raise ValueError(f"{self.backend.name}: coefficient {c.pretty()} "
+                             f"of [{mono}] is not integral in the lattice")
+        return c.num
+
+    def mul_mono(self, m1, m2):
+        """Lattice normal form of m1*m2, as a tuple of (mono, LaurentPoly)
+        pairs.  Memoized; this is the hot path of relation checks."""
+        key = (m1, m2)
+        r = self._mul_cache.get(key)
+        if r is None:
+            w12 = self.weight(m1) + self.weight(m2)
+            r = tuple(
+                (m, self.integral(c * self._scale(w12 - self.weight(m), 0), (m,)))
+                for m, c in self.backend.mul_mono(m1, m2))
+            self._mul_cache[key] = r
+        return r
+
+    def to_lattice(self, x: "AlgElem") -> "AlgElem":
+        """normaliser * x, for a published element x, in lattice
+        coordinates."""
+        return AlgElem(self, x.arity, {
+            k: self.integral(c * self._scale(-sum(map(self.weight, k)), 1), k)
+            for k, c in x.terms.items()})
+
+    def from_lattice(self, x: "AlgElem") -> "AlgElem":
+        """The published element x / normaliser^2, for a lattice element x
+        made of products of two converted generators.  Residuals repeat a
+        few coefficients many times, so each (coefficient, weight) is
+        converted once."""
+        back = self._back
+        out = {}
+        for k, c in x.terms.items():
+            key = (c, sum(map(self.weight, k)))
+            r = back.get(key)
+            if r is None:
+                r = back[key] = RatQ.from_poly(c) * self._scale(key[1], -2)
+            out[k] = r
+        return AlgElem(self.backend, x.arity, out)
+
+    def __repr__(self):
+        return f"Lattice({self.backend.name})"
 
 
 # ---------------------------------------------------------------------------

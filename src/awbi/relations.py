@@ -46,21 +46,39 @@ def relation_scalars(backend):
     return w, s, plus, minus
 
 
-# -- cached generator products (reused heavily across suites) -----------------
+# -- cached generator products, straightened in the lattice ------------------
+
+# Every product a relation check needs is made in the backend's lattice
+# twin (pbw.Lattice) from generators converted once, and cached there: a
+# cached product is normaliser^2 times the published one.  Only residuals
+# and the sides handed to callers go back to the published basis.
 
 _PROD_CACHE: dict = {}
+_LATTICE_GEN: dict = {}
+
+
+def _lattice_generator(backend, n, elements) -> AlgElem:
+    """normaliser * G_elements in the lattice, for a sorted tuple."""
+    key = (backend.name, n, elements)
+    g = _LATTICE_GEN.get(key)
+    if g is None:
+        g = _LATTICE_GEN[key] = backend.lattice.to_lattice(
+            generator(backend, n, elements))
+    return g
 
 
 def _prod(backend, n, ea, eb) -> AlgElem:
     key = (backend.name, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
     p = _PROD_CACHE.get(key)
     if p is None:
-        p = _PROD_CACHE[key] = generator(backend, n, ea) * generator(backend, n, eb)
+        p = _PROD_CACHE[key] = (_lattice_generator(backend, n, key[2])
+                                * _lattice_generator(backend, n, key[3]))
     return p
 
 
 def clear_caches():
     _PROD_CACHE.clear()
+    _LATTICE_GEN.clear()
     extension.clear_cache()
 
 
@@ -126,43 +144,58 @@ def _setops(A, B):
             tuple(sorted(sa ^ sb)), tuple(sorted(sa - sb)), tuple(sorted(sb - sa)))
 
 
-def star_sides(A, B, n, backend):
-    """Left and right sides of the standard relation for the ordered pair.
-    All generator products go through the shared cache, so the commutation
-    check of the same pair reuses them."""
+def _lattice_star_sides(A, B, n, backend):
+    """Both sides of the standard relation in the lattice, each
+    normaliser^2 times the published side: the single generator G_sym
+    takes the extra normaliser factor that the products carry."""
+    lat = backend.lattice
     w, s, plus, minus = relation_scalars(backend)
+    w, s, plus, minus = map(lat.integral, (w * lat.normaliser, s, plus, minus))
     inter, union, sym, amb, bma = _setops(A, B)
     lhs = (_prod(backend, n, A, B).scale(plus)
            + _prod(backend, n, B, A).scale(minus))
-    rhs = (generator(backend, n, sym).scale(w)
+    rhs = (_lattice_generator(backend, n, sym).scale(w)
            + (_prod(backend, n, inter, union) + _prod(backend, n, amb, bma)).scale(s))
     return lhs, rhs
 
 
+def star_sides(A, B, n, backend):
+    """Left and right sides of the standard relation for the ordered pair,
+    in the published basis.  All generator products go through the shared
+    cache, so the commutation check of the same pair reuses them."""
+    lat = backend.lattice
+    lhs, rhs = _lattice_star_sides(A, B, n, backend)
+    return lat.from_lattice(lhs), lat.from_lattice(rhs)
+
+
 def check_star(A, B, n, backend) -> RelationReport:
-    """Does the standard relation hold for (A, B)?  The holds flag is
-    recomputed from the residual normal form, never short-circuited."""
+    """Does the standard relation hold for (A, B)?  The residual is formed
+    in the lattice and converted back; the holds flag is recomputed from
+    its normal form, never short-circuited."""
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
-    lhs, rhs = star_sides(A, B, n, backend)
-    residual = lhs - rhs
+    lhs, rhs = _lattice_star_sides(A, B, n, backend)
+    residual = backend.lattice.from_lattice(lhs - rhs)
     return RelationReport(A, B, n, backend.name,
                           holds_star=residual.is_zero(), residual_star=residual,
                           elapsed=time.perf_counter() - t0)
 
 
 def comm_sides(A, B, n, backend):
-    """G_A G_B and G_B G_A, through the shared product cache."""
-    return _prod(backend, n, A, B), _prod(backend, n, B, A)
+    """G_A G_B and G_B G_A in the published basis, through the shared
+    product cache."""
+    lat = backend.lattice
+    return (lat.from_lattice(_prod(backend, n, A, B)),
+            lat.from_lattice(_prod(backend, n, B, A)))
 
 
 def check_comm(A, B, n, backend) -> RelationReport:
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
-    lhs, rhs = comm_sides(A, B, n, backend)
-    residual = lhs - rhs
+    residual = backend.lattice.from_lattice(
+        _prod(backend, n, A, B) - _prod(backend, n, B, A))
     return RelationReport(A, B, n, backend.name,
                           holds_comm=residual.is_zero(), residual_comm=residual,
                           elapsed=time.perf_counter() - t0)

@@ -9,6 +9,12 @@ Presentation: generators E, F, K, K^-1 with
     K K^-1 = 1,   K E = q^2 E K,   K F = q^-2 F K,
     E F - F E = (K - K^-1) / (q - q^-1).
 Monomials are normal-ordered as F^f K^k E^e.
+
+Rescaling for the lattice basis of pbw.Lattice: F and E have weight 1, one
+weight unit stands for q - q^-1 and the generator normaliser is 1, so
+E' = (q - q^-1) E and F' = (q - q^-1) F satisfy
+    E' F' = F' E' + (q - q^-1)(K - K^-1)
+and relation-check products straighten over Z[v, v^-1].
 """
 
 from __future__ import annotations
@@ -149,4 +155,5 @@ AW = Backend(
         "L": Alphabet("L", ("E", "FK", "K", "Lam"), _L_PBW, _L_TAU),
     },
     casimir_delta=_CAS_DELTA,
+    rescaling=((1, 0, 1), QM, ONE),
 )

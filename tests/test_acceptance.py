@@ -2,12 +2,13 @@
 coefficient equality throughout) with its stated runtime bound.
 
 One pass/fail line prints per criterion.  Criterion 8 checks the refined
-minimality statement at n=3 and n=4: the pairs satisfying the standard
+minimality statement at n=3, n=4 and n=5: the pairs satisfying the standard
 relation are exactly the separated-quadruple pattern pairs plus the
 containment pairs (one set inside the other), where commutation and the
 empty-set scalar collapse the relation to 0 = 0.  At n=3 the two sets
 coincide literally; at n=4 the four interleaved containment pairs that fit
-no quadruple are pinned and confirmed on exact rational matrices.
+no quadruple are pinned and confirmed on exact rational matrices; at n=5
+the 40 extras and the scan counts are pinned.
 """
 
 import itertools
@@ -190,7 +191,7 @@ def _minimality_scan(n, bound, literal=False):
         f"containment pairs that do not commute: {sorted(non_commuting)}")
     if literal:
         assert star_set == predicted
-    return star_set, predicted
+    return star_set, predicted, summary
 
 
 def _star_matrices_equal(A, B, n, v):
@@ -217,7 +218,7 @@ def test_criterion_08_minimality_scan_n3():
 
 
 def test_criterion_08_minimality_scan_n4():
-    star_set, predicted = _minimality_scan(4, 3600)
+    star_set, predicted, _ = _minimality_scan(4, 3600)
     extras = star_set - predicted
     print("FINDING: pairs satisfying the standard relation without a "
           "separated-quadruple decomposition:")
@@ -238,6 +239,18 @@ def test_criterion_08_minimality_scan_n4():
         assert not _star_matrices_equal((1, 2), (1, 3), 3, v)
     _report(8, "n=4 extras confirmed on 16x16 matrices + control", True,
             time.perf_counter() - t0)
+
+
+def test_criterion_08_minimality_scan_n5():
+    star_set, predicted, summary = _minimality_scan(5, 3600)
+    extras = star_set - predicted
+    print(f"FINDING: {len(extras)} containment pairs at n=5 satisfy the "
+          "standard relation without a separated-quadruple decomposition.")
+    assert len(extras) == 40
+    assert all(_is_containment(A, B) for A, B in extras)
+    assert (summary["star_holds"], summary["comm_holds"],
+            summary["pattern_predicted"]) == (734, 614, 694)
+    assert len(star_set) == 734 and len(predicted) == 694
 
 
 def test_criterion_09_hopf_comodule_axioms():

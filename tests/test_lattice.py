@@ -1,0 +1,115 @@
+"""The lattice basis that relation checks multiply in: its products, its
+residuals and its straightening table agree with the published basis, it
+refuses elements that are not integral there, and the independent matrix
+oracle confirms its products."""
+
+import itertools
+import re
+
+import pytest
+
+from awbi import osp_engine as osp
+from awbi import uq_engine as uq
+from awbi.extension import generator
+from awbi.numoracle import DEFAULT_POINTS, RepSpec, evaluate, mat_mul
+from awbi.pbw import AlgElem
+from awbi.qcoeff import ONE, LaurentPoly, RatQ
+from awbi.relations import (_prod, check_star, comm_sides,
+                            fundamental_families, relation_scalars, subsets)
+
+from test_golden import STRAIGHTENING
+
+AW, BI = uq.AW, osp.BI
+
+
+def test_lattice_products_convert_back_to_published_products():
+    n = 3
+    for backend in (AW, BI):
+        for A in subsets(n):
+            for B in subsets(n):
+                lattice = _prod(backend, n, A, B)
+                assert all(isinstance(c, LaurentPoly) for c in lattice.terms.values())
+                ab, ba = comm_sides(A, B, n, backend)
+                ga, gb = generator(backend, n, A), generator(backend, n, B)
+                assert ab == ga * gb, (backend.name, A, B)
+                assert ba == gb * ga, (backend.name, A, B)
+
+
+def _published_star_residual(A, B, n, backend):
+    """lhs - rhs of the standard relation from published-basis products."""
+    w, s, plus, minus = relation_scalars(backend)
+    sa, sb = set(A), set(B)
+
+    def g(S):
+        return generator(backend, n, tuple(sorted(S)))
+
+    lhs = (g(sa) * g(sb)).scale(plus) + (g(sb) * g(sa)).scale(minus)
+    rhs = (g(sa ^ sb).scale(w)
+           + (g(sa & sb) * g(sa | sb) + g(sa - sb) * g(sb - sa)).scale(s))
+    return lhs - rhs
+
+
+def test_check_star_residual_equals_published_residual():
+    for backend in (AW, BI):
+        for name, k, ell, A, B, n in fundamental_families(5):
+            rep = check_star(A, B, n, backend)
+            residual = _published_star_residual(A, B, n, backend)
+            assert rep.holds_star == residual.is_zero(), (backend.name, name, k, ell)
+            assert rep.residual_star == residual, (backend.name, name, k, ell)
+        # the three failing pairs at n=3, where the residual is not zero
+        for A, B in (((1, 2), (1, 3)), ((1, 3), (2, 3)), ((2, 3), (1, 2))):
+            rep = check_star(A, B, 3, backend)
+            residual = _published_star_residual(A, B, 3, backend)
+            assert not residual.is_zero()
+            assert not rep.holds_star and rep.residual_star == residual
+
+
+def test_lattice_straightening_table_converts_back():
+    for backend in (AW, BI):
+        ranges, _ = STRAIGHTENING[backend.name]
+        weights, factor, _ = backend.rescaling
+        lat = backend.lattice
+
+        def weight(m):
+            return sum(x * e for x, e in zip(weights, backend.unpack(m)))
+
+        monos = [backend.pack(*e) for e in itertools.product(*ranges)]
+        for m1 in monos:
+            for m2 in monos:
+                w12 = weight(m1) + weight(m2)
+                back = {}
+                for m, c in lat.mul_mono(m1, m2):
+                    assert isinstance(c, LaurentPoly)
+                    scale = ONE
+                    for _ in range(w12 - weight(m)):
+                        scale = scale * factor
+                    back[m] = RatQ.from_poly(c) / scale
+                assert back == dict(backend.mul_mono(m1, m2)), (backend.name, m1, m2)
+
+
+@pytest.mark.parametrize("backend, exps, coeff, mono", [
+    (AW, (0, 0, 1), ONE, "E"),          # lattice coefficient 1/(q - q^-1)
+    (AW, (0, 0, 0), uq.DINV, "1"),      # DINV times the identity
+    (BI, (0, 1, 0, 0), ONE / osp.QM, "A+"),
+    (BI, (0, 0, 0, 0), ONE / (osp.QM * osp.QM), "1"),
+])
+def test_conversion_rejects_elements_outside_the_lattice(backend, exps, coeff, mono):
+    x = AlgElem.mono(backend, exps, coeff)
+    message = rf"^{backend.name}: .* of \[{re.escape(mono)}\] is not integral"
+    with pytest.raises(ValueError, match=message):
+        backend.lattice.to_lattice(x)
+
+
+def test_oracle_confirms_lattice_products():
+    # a holding and a failing pair of the standard relation on aw at n=3;
+    # each converted lattice product against the matrix product of the
+    # generators evaluated one by one
+    n = 3
+    for A, B in (((1, 2), (2, 3)), ((1, 2), (1, 3))):
+        ab, ba = comm_sides(A, B, n, AW)
+        for v in DEFAULT_POINTS:
+            spec = RepSpec((2,) * n, v)
+            ma = evaluate(generator(AW, n, A), spec)
+            mb = evaluate(generator(AW, n, B), spec)
+            assert evaluate(ab, spec) == mat_mul(ma, mb), (A, B, v)
+            assert evaluate(ba, spec) == mat_mul(mb, ma), (A, B, v)

@@ -197,7 +197,8 @@ def test_letter_coproduct_outside_the_alphabet_is_rejected():
                  "L": Alphabet("L", L.letters, L.pbw, L.tau)}
     with pytest.raises(ValueError, match="side-R letter F "):
         Backend("aw-bad", AW.field_names, AW.pack, AW.unpack, uq._mul_mono,
-                AW.gen_delta, AW.casimir, alphabets, AW.casimir_delta)
+                AW.gen_delta, AW.casimir, alphabets, AW.casimir_delta,
+                AW.rescaling)
 
 
 def test_tau_well_defined_on_relations():
