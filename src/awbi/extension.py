@@ -5,7 +5,9 @@ A plan is explicit data: the ordered list of morphism applications
 (coproduct or coaction, with the target leg at application time).  Building
 executes a plan starting from the backend Casimir, keeping the edge legs as
 coideal words for as long as coactions may still hit them, then normalizes
-and pads with identity legs.
+and pads with identity legs.  Every build runs in the backend's lattice
+(pbw.Lattice), over Z[v, v^-1]; a generator asked for in the published
+basis is converted back once, when it is finished.
 
 Equality of the elements produced by different plans for the same set is a
 theorem (and a first-class test here), not an assumption.
@@ -65,12 +67,6 @@ class IndexSet:
             else:
                 out.append((a, a))
         return tuple(out)
-
-    def prec(self, other: "IndexSet") -> bool:
-        """max(self) < min(other), or either set is empty."""
-        if not self.elements or not other.elements:
-            return True
-        return self.elements[-1] < other.elements[0]
 
     def __str__(self):
         return "{" + ",".join(map(str, self.elements)) + "}"
@@ -244,15 +240,19 @@ def _execute(backend: Backend, plan: MorphismPlan) -> AlgElem:
 
 
 def build(A: IndexSet, backend: Backend, plan: MorphismPlan | None = None) -> AlgElem:
-    """The generator for A inside the n-fold tensor power."""
+    """The generator for A inside the n-fold tensor power, over backend: a
+    published backend or its lattice, where the build runs either way."""
     if not A.elements:
         return empty_generator(backend, A.n)
     if plan is None:
         plan = plan_right(A)
-    core = _execute(backend, plan)
+    lat = backend.lattice
+    core = _execute(lat, plan)
     lo, hi = A.elements[0], A.elements[-1]
     if core.arity != hi - lo + 1:
         raise ValueError("plan arity does not match the set span")
+    if backend is not lat:
+        core = lat.from_lattice(core, 1)
     return core.pad(lo - 1, A.n - hi)
 
 
@@ -269,7 +269,8 @@ _CACHE: dict = {}
 
 
 def generator(backend: Backend, n: int, elements) -> AlgElem:
-    """Cached right-process generator for the given subset of [1;n]."""
+    """Cached right-process generator for the given subset of [1;n], over
+    backend: a published backend or its lattice."""
     key = (backend.name, n, tuple(sorted(set(elements))))
     g = _CACHE.get(key)
     if g is None:

@@ -15,12 +15,13 @@ Right coideal alphabet: {A+K, A-K, K^2 P, Casimir}; left coideal alphabet:
 {A+K^-1 P, A-K^-1 P, K^-2 P, Casimir}.
 
 Rescaling for the lattice basis of pbw.Lattice: A+ has weight 1, one
-weight unit stands for q^(1/2) - q^(-1/2) and the generator normaliser is
-lambda = q - q^-1.  Then A+' = (q^(1/2) - q^(-1/2)) A+ satisfies
+weight unit stands for q^(1/2) - q^(-1/2) (the inverse of the exchange
+constant) and the generator normaliser is lambda = q - q^-1.  Then
+A+' = (q^(1/2) - q^(-1/2)) A+ satisfies
     A+' A- + A- A+' = K^2 - K^-2,
 every lambda-scaled generator is integral (the empty-set value becomes
-lambda * c_empty = -(q^(1/2) - q^(-1/2))), and relation-check products
-straighten over Z[v, v^-1].
+lambda * c_empty = -(q^(1/2) - q^(-1/2))), and generators are built and
+multiplied over Z[v, v^-1].
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ QM = RatQ.from_poly(lp((2, 1), (-2, -1)))       # q - q^-1
 SINV = ONE / SM
 
 
-def _mul_mono(m1, m2):
+def _mul_mono(m1, m2, den=SINV):
+    """m1 * m2 in normal form, for the exchange
+    A+ A- = -A- A+ + den (K^2 - K^-2)."""
     a1, c1, b1, p1 = _unpack(m1)
     a2, c2, b2, p2 = _unpack(m2)
     neg = p1 and (a2 + c2) & 1
@@ -63,7 +66,7 @@ def _mul_mono(m1, m2):
     # rewrite A+^c1 A-^a2 as A-^am K^t A+^ap, then move K^t right past
     # A+^(ap+c2)
     out = []
-    for (am, t, ap), c in exchange(c1, a2, -1, 2, SINV, 1, -1).items():
+    for (am, t, ap), c in exchange(c1, a2, -1, 2, den, 1, -1).items():
         out.append((_pack(a1 + am, ap + c2, t + b1 + b2, p),
                     base * c * vpow(t * (ap + c2))))
     return tuple(out)

@@ -1,21 +1,23 @@
 """Core machinery shared by the two algebra backends: the rank-one
 exchange that straightens both, the Hopf structure on monomials derived
 from each backend's generator table, the coproducts of the coideal
-letters derived from it, the rescaled lattice basis that relation checks
-multiply in, normal-form tensor elements, coideal edge words, and the
-build state that the extension processes act on.
+letters derived from it, the rescaled lattice basis that generators are
+built and multiplied in, normal-form tensor elements, coideal edge words,
+and the build state that the extension processes act on.
 
 An AlgElem is a linear combination of length-n tensor monomials in a fixed
-normal order, with field coefficients.  Monomials are packed into single
-integers per tensor factor; term maps are plain dicts keyed by tuples of
-packed factors.  All values are immutable by convention and safe to share.
+normal order, with coefficients in its backend's ring: the field Q(v) in
+the published basis, Laurent polynomials in a Lattice.  Monomials are
+packed into single integers per tensor factor; term maps are plain dicts
+keyed by tuples of packed factors.  All values are immutable by convention
+and safe to share.
 
-Generators are built in the published basis, over Q(v).  Products for
-relation checks are straightened in each backend's Lattice twin instead,
-where generators, products and the straightening table all have Laurent
-polynomial coefficients, so the product loop never meets a denominator.
-Conversion happens only at the edges: a generator once when it enters the
-lattice, a residual or a printed side when it leaves.
+Generators are built, and relation-check products straightened, in each
+backend's Lattice twin, where the presentation tables, every intermediate
+build state, generators and products all have Laurent polynomial
+coefficients, so neither construction nor the product loop meets a
+denominator.  Conversion to the published basis happens only at the edge:
+a finished generator, a residual or a printed side.
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as words over a coideal alphabet (EdgeElem).  Interior legs
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 
-from .qcoeff import ONE, ZERO, RatQ, vpow
+from .qcoeff import ONE, ZERO, LaurentPoly, RatQ, vpow
 
 
 class CoactionError(Exception):
@@ -69,13 +71,15 @@ class Backend:
     PBW and coaction tables, casimir_delta, and gen_delta, which holds per
     packed field (in normal order) the coproduct of that field's generator
     as an arity-2 term dict, or None when the generator is group-like.
-    It also declares its rescaling (weights, factor, normaliser), from
-    which the Lattice twin is derived on first use (see Lattice).
-    Derived here: the coproduct, counit and label of every monomial, the
-    Casimir counit, and the coproduct table of every coideal letter.
+    The straightening takes an optional third argument, the exchange
+    constant of its rank-one pair.  The module also declares its rescaling
+    (weights, factor, normaliser), from which the Lattice twin is derived
+    on first use (see Lattice).  Derived here: the coproduct, counit and
+    label of every monomial, the Casimir counit, and the coproduct table
+    of every coideal letter.
     """
 
-    __slots__ = ("name", "field_names", "identity", "pack", "unpack",
+    __slots__ = ("name", "field_names", "identity", "one", "pack", "unpack",
                  "_mul_mono_raw", "gen_delta", "casimir", "casimir_counit",
                  "alphabets", "casimir_delta", "rescaling", "_lattice",
                  "_mul_cache", "_delta_cache")
@@ -96,10 +100,12 @@ class Backend:
         self._mul_cache = {}
         self._delta_cache = {}
         self.identity = pack(*([0] * len(field_names)))
+        self.one = ONE                          # unit of the coefficient ring
         # RatQ scalar, also the empty-set value
         self.casimir_counit = ZERO
         for m, c in casimir.items():
-            self.casimir_counit = self.casimir_counit + c * self.counit_mono(m)
+            if self.counit_mono(m):
+                self.casimir_counit = self.casimir_counit + c
         for side in ("R", "L"):
             alphabets[side].delta = self._letter_deltas(side)
 
@@ -111,16 +117,16 @@ class Backend:
 
     @property
     def lattice(self) -> "Lattice":
-        """The rescaled twin that relation checks multiply in, derived on
-        first use."""
+        """The rescaled twin that generators are built and multiplied in,
+        derived on first use; a Lattice is its own twin."""
         if self._lattice is None:
             self._lattice = Lattice(self)
         return self._lattice
 
     def mul_mono(self, m1, m2):
         """Normal form of a product of two single-factor monomials, as a
-        tuple of (mono, coeff) pairs.  Memoized; this is the hot path of
-        generator construction."""
+        tuple of (mono, coeff) pairs.  Memoized; in a Lattice this is the
+        hot path of generator construction and relation checks."""
         key = (m1, m2)
         r = self._mul_cache.get(key)
         if r is None:
@@ -134,12 +140,12 @@ class Backend:
         images of its generator powers.  Memoized."""
         r = self._delta_cache.get(m)
         if r is None:
-            d = {(self.identity, self.identity): ONE}
+            d = {(self.identity, self.identity): self.one}
             exps = self.unpack(m)
             for i, (e, g) in enumerate(zip(exps, self.gen_delta)):
                 if g is None and e:
                     x = self.pack(*(e if j == i else 0 for j in range(len(exps))))
-                    d = mul_terms(self.mul_mono, d, {(x, x): ONE})
+                    d = mul_terms(self.mul_mono, d, {(x, x): self.one})
                 elif g is not None:
                     for _ in range(e):
                         d = mul_terms(self.mul_mono, d, g)
@@ -148,11 +154,10 @@ class Backend:
         return r
 
     def counit_mono(self, m):
-        """1 when every field that is not group-like has exponent 0."""
-        for e, g in zip(self.unpack(m), self.gen_delta):
-            if e and g is not None:
-                return ZERO
-        return ONE
+        """Whether the counit of m is 1 (else it is 0): every field that is
+        not group-like has exponent 0."""
+        return not any(e and g is not None
+                       for e, g in zip(self.unpack(m), self.gen_delta))
 
     def mono_pretty(self, m):
         bits = [name if e == 1 else f"{name}^{e}"
@@ -195,40 +200,93 @@ class Backend:
         return f"Backend({self.name})"
 
 
-class Lattice:
+class Lattice(Backend):
     """The rescaled twin of a backend: the same monomials, each standing for
     factor^w(m) times the published one, where w(m) is the weighted sum of
     its field exponents under the backend's rescaling
-    (weights, factor, normaliser).
+    (weights, factor, normaliser).  Every coefficient here is a
+    LaurentPoly.
 
-    A generator x enters the lattice as normaliser * x, so the lattice
-    coefficient of m is normaliser * c * factor^-w(m).  The straightening
-    table is read off the published one: the coefficient c of m in m1*m2
-    becomes c * factor^(w(m1) + w(m2) - w(m)).  Every coefficient here is a
-    LaurentPoly; one whose denominator is not 1 raises ValueError naming
-    the backend and the monomial.  A lattice element is an AlgElem over
-    this twin, multiplied by the unchanged mul_terms, and a product of two
-    converted generators is normaliser^2 times the published product.
+    A generator built here is normaliser times the published one, so the
+    lattice coefficient of m is normaliser * c * factor^-w(m), and a
+    product of two generators is normaliser^2 times the published product.
+    The presentation is converted once from the backend's through rescale:
+    a field's generator coproduct by factor^(its weight), a letter c*m by
+    factor^w(m), and the Casimir letter by the normaliser.  The
+    straightening is the backend's own, run with a rescaled exchange
+    constant: the weighted fields are the exchanged pair and the factor is
+    the inverse of the published constant, so each exchange step, which
+    lowers both fields by one, contributes factor^(sum of weights - 1).  A
+    coefficient that is not integral raises ValueError naming the backend
+    and the monomial.
     """
 
-    __slots__ = ("backend", "name", "weights", "factor", "normaliser",
-                 "_weight", "_scales", "_back", "_mul_cache")
+    __slots__ = ("backend", "weights", "factor", "normaliser", "_weight",
+                 "_scales", "_back")
 
     def __init__(self, backend):
         self.backend = backend
         self.name = f"{backend.name}-lattice"
+        self.field_names, self.pack, self.unpack = (
+            backend.field_names, backend.pack, backend.unpack)
+        self.identity = backend.identity
+        self.one = LaurentPoly.mono(0)
         self.weights, self.factor, self.normaliser = backend.rescaling
+        self._lattice = self
         self._weight = {}       # mono -> w(mono)
         self._scales = {}       # (w, d) -> factor^w * normaliser^d
-        self._back = {}         # (LaurentPoly, w) -> published coefficient
+        self._back = {}         # (LaurentPoly, w, degree) -> published coefficient
         self._mul_cache = {}
+        self._delta_cache = {}
+        raw, den = backend._mul_mono_raw, self._scale(sum(self.weights) - 1, 0)
+        self._mul_mono_raw = lambda m1, m2: tuple(
+            (m, self.integral(c, (m,))) for m, c in raw(m1, m2, den))
+        self.gen_delta = tuple(
+            None if g is None else {k: self.rescale(c, k, w) for k, c in g.items()}
+            for g, w in zip(backend.gen_delta, self.weights))
+        self.casimir = {m: self.rescale(c, (m,), 0, 1)
+                        for m, c in backend.casimir.items()}
+        self.casimir_counit = self.rescale(backend.casimir_counit, (), 0, 1)
+        self.alphabets, scales = {}, {}
+        for side, alpha in backend.alphabets.items():
+            self.alphabets[side], scales[side] = self._alphabet(alpha)
+        rows = []
+        for gl, gr, c in backend.casimir_delta:
+            (wl, dl), (wr, dr) = scales["L"][gl], scales["R"][gr]
+            rows.append((gl, gr, self.rescale(c, (), -wl - wr, 1 - dl - dr)))
+        self.casimir_delta = tuple(rows)
+
+    def _alphabet(self, alpha):
+        """alpha converted, and the scale (w, d) of each of its letters in
+        the lattice: factor^w * normaliser^d."""
+        scale = {}
+        for g in alpha.letters:
+            if alpha.pbw[g] == self.backend.casimir:
+                scale[g] = (0, 1)
+            else:
+                (m, _), = alpha.pbw[g].items()
+                scale[g] = (self.weight(m), 0)
+
+        def convert(terms, w, d):
+            return {m: self.rescale(c, (m,), w, d) for m, c in terms.items()}
+
+        def rows(table):
+            return {g: tuple((convert(u, w - scale[g2][0], d - scale[g2][1]), g2)
+                             for u, g2 in table[g])
+                    for g, (w, d) in scale.items()}
+
+        out = Alphabet(alpha.side, alpha.letters,
+                       {g: convert(alpha.pbw[g], w, d) for g, (w, d) in scale.items()},
+                       rows(alpha.tau))
+        out.delta = rows(alpha.delta)
+        return out, scale
 
     def weight(self, m):
         """w(m), memoised."""
         w = self._weight.get(m)
         if w is None:
             w = self._weight[m] = sum(
-                x * e for x, e in zip(self.weights, self.backend.unpack(m)))
+                x * e for x, e in zip(self.weights, self.unpack(m)))
         return w
 
     def _scale(self, w, d):
@@ -246,43 +304,31 @@ class Lattice:
         """The Laurent polynomial c, which must have denominator 1; key
         names the tensor monomial c belongs to."""
         if not c.den.is_one():
-            mono = " x ".join(map(self.backend.mono_pretty, key)) or "scalar"
+            mono = " x ".join(map(self.mono_pretty, key)) or "scalar"
             raise ValueError(f"{self.backend.name}: coefficient {c.pretty()} "
                              f"of [{mono}] is not integral in the lattice")
         return c.num
 
-    def mul_mono(self, m1, m2):
-        """Lattice normal form of m1*m2, as a tuple of (mono, LaurentPoly)
-        pairs.  Memoized; this is the hot path of relation checks."""
-        key = (m1, m2)
-        r = self._mul_cache.get(key)
-        if r is None:
-            w12 = self.weight(m1) + self.weight(m2)
-            r = tuple(
-                (m, self.integral(c * self._scale(w12 - self.weight(m), 0), (m,)))
-                for m, c in self.backend.mul_mono(m1, m2))
-            self._mul_cache[key] = r
-        return r
+    def rescale(self, c: RatQ, key, w=0, d=0):
+        """The lattice coefficient at the tensor monomial key of the
+        published term c * key scaled by factor^w * normaliser^d, that is
+        c * factor^(w - w(key)) * normaliser^d; it must be integral."""
+        return self.integral(
+            c * self._scale(w - sum(map(self.weight, key)), d), key)
 
-    def to_lattice(self, x: "AlgElem") -> "AlgElem":
-        """normaliser * x, for a published element x, in lattice
-        coordinates."""
-        return AlgElem(self, x.arity, {
-            k: self.integral(c * self._scale(-sum(map(self.weight, k)), 1), k)
-            for k, c in x.terms.items()})
-
-    def from_lattice(self, x: "AlgElem") -> "AlgElem":
-        """The published element x / normaliser^2, for a lattice element x
-        made of products of two converted generators.  Residuals repeat a
-        few coefficients many times, so each (coefficient, weight) is
+    def from_lattice(self, x: AlgElem, degree) -> AlgElem:
+        """The published element x / normaliser^degree, for a lattice
+        element x made of degree generator factors: 1 for a generator, 2
+        for a product of two.  Residuals and generators repeat a few
+        coefficients many times, so each (coefficient, weight, degree) is
         converted once."""
         back = self._back
         out = {}
         for k, c in x.terms.items():
-            key = (c, sum(map(self.weight, k)))
+            key = (c, sum(map(self.weight, k)), degree)
             r = back.get(key)
             if r is None:
-                r = back[key] = RatQ.from_poly(c) * self._scale(key[1], -2)
+                r = back[key] = RatQ.from_poly(c) * self._scale(key[1], -degree)
             out[k] = r
         return AlgElem(self.backend, x.arity, out)
 
@@ -364,9 +410,8 @@ def leg_counit(backend, terms, i):
     eps = backend.counit_mono
     out = {}
     for k, c in terms.items():
-        e = eps(k[i])
-        if not e.is_zero():
-            acc_term(out, k[:i] + k[i + 1:], c * e)
+        if eps(k[i]):
+            acc_term(out, k[:i] + k[i + 1:], c)
     return out
 
 
@@ -422,7 +467,7 @@ class AlgElem:
     @staticmethod
     def one(backend, arity):
         key = (backend.identity,) * arity
-        return AlgElem(backend, arity, {key: ONE})
+        return AlgElem(backend, arity, {key: backend.one})
 
     @staticmethod
     def scalar(backend, arity, c: RatQ):
@@ -599,7 +644,7 @@ class CoidealWord:
     def letter(backend, side, name):
         if name not in backend.alphabets[side].letters:
             raise ValueError(f"{name} is not a side-{side} letter")
-        return CoidealWord(backend, side, {(name,): ONE})
+        return CoidealWord(backend, side, {(name,): backend.one})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -640,7 +685,7 @@ def _word_pbw(backend, alpha: Alphabet, word):
     """Normal form of a word, keyed by 1-tuples."""
     d = alpha._word_pbw_cache.get(word)
     if d is None:
-        d = {(backend.identity,): ONE}
+        d = {(backend.identity,): backend.one}
         for g in word:
             d = mul_terms(backend.mul_mono, d, _keyed(alpha.pbw[g]))
         alpha._word_pbw_cache[word] = d
@@ -649,17 +694,17 @@ def _word_pbw(backend, alpha: Alphabet, word):
 
 def _word_image(backend, alpha: Alphabet, table_name, word):
     """Image of a word under the coaction or coproduct table, multiplied
-    out: list of (ambient term dict on 1-tuple keys, retained word, coeff)."""
+    out: list of (ambient term dict on 1-tuple keys, retained word)."""
     key = (table_name, word)
     r = alpha._word_img_cache.get(key)
     if r is None:
         table = alpha.tau if table_name == "tau" else alpha.delta
-        parts = [({(backend.identity,): ONE}, (), ONE)]
+        parts = [({(backend.identity,): backend.one}, ())]
         for g in word:
             img = table[g]
             parts = [
-                (mul_terms(backend.mul_mono, u, _keyed(ug)), w + (g2,), c)
-                for (u, w, c) in parts
+                (mul_terms(backend.mul_mono, u, _keyed(ug)), w + (g2,))
+                for (u, w) in parts
                 for (ug, g2) in img
             ]
         r = tuple(parts)
@@ -745,11 +790,10 @@ class EdgeElem:
         out = {}
         for k, c in self.terms.items():
             rest, w = (k[:-1], k[-1]) if side == "R" else (k[1:], k[0])
-            for (u, w2, ci) in _word_image(backend, alpha, table_name, w):
-                cc = c * ci
+            for (u, w2) in _word_image(backend, alpha, table_name, w):
                 for m, cu in u.items():
                     key = rest + m + (w2,) if side == "R" else (w2,) + m + rest
-                    acc_term(out, key, cc * cu)
+                    acc_term(out, key, c * cu)
         return EdgeElem(backend, self.has_l, self.has_r, out)
 
     # -- operations on interior (normal-form) legs ------------------------------
@@ -778,7 +822,7 @@ class EdgeElem:
         aL = backend.alphabets["L"]
         arity = self.arity
         lo, hi = int(self.has_l), arity - self.has_r
-        unit = (((), ONE),)
+        unit = (((), backend.one),)
         out = {}
         for k, c in self.terms.items():
             lparts = _word_pbw(backend, aL, k[0]).items() if self.has_l else unit

@@ -6,21 +6,13 @@ Both engine backends share this field.  The U_q(sl2) side only ever
 produces even powers of v (i.e. integer powers of q); the osp_q(1|2) side
 needs genuine half-integer powers of q, which is why v is the variable.
 
-Every denominator the engines produce comes from 1/(q - q^-1),
-1/(q^(1/2) - q^(-1/2)) and the bi Casimir counit -1/(q^(1/2) + q^(-1/2)),
-so up to a unit +-v^s it is a product of v - 1, v + 1 and v^2 + 1.  A RatQ
-with such a denominator stores only the exponent triple of those three
-factors.  Products add the triples, sums raise both numerators to the
-elementwise maximum, and a common factor is found by testing the
-numerator for a zero at 1, -1 or i and divided out exactly: no gcd runs.
-
-Any other denominator (integer content, or another irreducible factor)
-takes the general path, _reduce, which cancels through the primitive
-pseudo-remainder gcd.  It is kept for inputs from outside the engines
-(RatQ.make, from_json) and quotients that leave the factor set on the way;
-a result whose reduced denominator lies in the set comes back factored.
-Both paths give the same canonical (num, den), so equal elements compare,
-hash and serialize alike whichever path built them.
+A RatQ is always stored reduced, through the primitive pseudo-remainder
+gcd of _reduce, so equal elements compare, hash and serialize alike;
+elements with denominator 1 skip the gcd.  Generator construction and the
+products that decide relations make no RatQ: they run over Z[v, v^-1] in
+each backend's lattice (pbw.Lattice).  RatQ serves the published basis
+(printing, residuals, the scalars at the edges), input from outside (make,
+from_json) and the selftest's field axioms.
 """
 
 from __future__ import annotations
@@ -125,14 +117,6 @@ class LaurentPoly:
         if k == 0 or not self.d:
             return self
         return LaurentPoly({e + k: c for e, c in self.d.items()}, _trusted=True)
-
-    def scale(self, c):
-        c = int(c)
-        if c == 0:
-            return _LP_ZERO
-        if c == 1:
-            return self
-        return LaurentPoly({e: c * x for e, x in self.d.items()}, _trusted=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -318,142 +302,34 @@ _LP_ZERO = LaurentPoly({}, _trusted=True)
 _LP_ONE = LaurentPoly({0: 1}, _trusted=True)
 
 
-# ---------------------------------------------------------------------------
-# the factor set: every denominator the engines produce is a product of
-#   f_0 = v - 1,  f_1 = v + 1,  f_2 = v^2 + 1
-# times a unit +-v^s.  An exponent triple e = (b, c, d) stands for
-# D(e) = f_0^b f_1^c f_2^d.
-# ---------------------------------------------------------------------------
-
-_UNIT = (0, 0, 0)       # every all-zero triple built here is this object,
-                        # so `e is _UNIT` is the hot path's unit test
-_FACTORS = (LaurentPoly({1: 1, 0: -1}, _trusted=True),
-            LaurentPoly({1: 1, 0: 1}, _trusted=True),
-            LaurentPoly({2: 1, 0: 1}, _trusted=True))
-_DEN_CACHE: dict[tuple, LaurentPoly] = {_UNIT: _LP_ONE}
-
-
-def _den_poly(e) -> LaurentPoly:
-    """D(e) as a polynomial, memoised: it serves both as the denominator
-    of every element with exponents e and as the cofactor that brings a
-    denominator up to a common multiple."""
-    p = _DEN_CACHE.get(e)
-    if p is None:
-        p = _LP_ONE
-        for f, k in zip(_FACTORS, e):
-            for _ in range(k):
-                p = p * f
-        _DEN_CACHE[e] = p
-    return p
-
-
-def _vanishes(d, k) -> bool:
-    """Does the Laurent polynomial with term map d vanish at the roots of
-    f_k?  Roots 1, -1 and i; over the integers a zero at i is also one at
-    -i, and i^e only depends on e mod 4."""
-    if k == 0:
-        return sum(d.values()) == 0
-    if k == 1:
-        return sum(-c if e & 1 else c for e, c in d.items()) == 0
-    r = [0, 0, 0, 0]
-    for e, c in d.items():
-        r[e & 3] += c
-    return r[0] == r[2] and r[1] == r[3]
-
-
-def _shared(d, e):
-    """The triple m with m[k] = 1 where e[k] > 0 and the polynomial with
-    term map d vanishes at the roots of f_k, else 0: the factors of D(e)
-    that can be cancelled once."""
-    m = (1 if e[0] and _vanishes(d, 0) else 0,
-         1 if e[1] and _vanishes(d, 1) else 0,
-         1 if e[2] and _vanishes(d, 2) else 0)
-    return _UNIT if m == _UNIT else m
-
-
-def _add3(x, y, sign=1):
-    """x + sign * y elementwise, with the all-zero result as _UNIT."""
-    t = (x[0] + sign * y[0], x[1] + sign * y[1], x[2] + sign * y[2])
-    return _UNIT if t == _UNIT else t
-
-
-def _strip(num: LaurentPoly, e):
-    """Cancel from num / D(e) every factor that num shares with D(e);
-    returns the reduced (num, e)."""
-    while e is not _UNIT:
-        m = _shared(num.d, e)
-        if m is _UNIT:
-            break
-        num = num.divexact(_den_poly(m))
-        e = _add3(e, m, -1)
-    return num, e
-
-
-def _split(p: LaurentPoly):
-    """Write a nonzero p as u * D(e) with u = +-v^s.  Returns (u, e), or
-    None when p has any other factor (integer content included)."""
-    e = _UNIT
-    while True:
-        m = _shared(p.d, (1, 1, 1))
-        if m is _UNIT:
-            break
-        p = p.divexact(_den_poly(m))
-        e = _add3(e, m)
-    if len(p.d) != 1 or p.leading_coeff() not in (1, -1):
-        return None
-    return p, e
-
-
 class RatQ:
     """Reduced quotient of two Laurent polynomials: an element of the
     coefficient field Q(v).
 
     Canonical representative: gcd(num, den) is a unit, shared integer
     content removed, den has valuation 0 and positive leading coefficient.
-    Equality is then plain structural equality.
-
-    When den is a product D(e) of the factor set, which is every
-    denominator the engines produce, only the exponent triple e is
-    stored and den reads D(e) from a shared cache.  Otherwise e is None
-    and den is stored as it is (the general path).  Build elements with
-    make or from_poly; the constructor trusts its arguments.
+    Equality is then plain structural equality.  Every element with
+    denominator 1 shares the one unit polynomial as its den, so sums and
+    products of polynomials skip the gcd.  Build elements with make or
+    from_poly; the constructor trusts its arguments.
     """
 
-    __slots__ = ("num", "e", "_den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, e, den=None):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
         self.num = num
-        self.e = e
-        self._den = den
-
-    @property
-    def den(self) -> LaurentPoly:
-        e = self.e
-        return self._den if e is None else _den_poly(e)
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly) -> "RatQ":
-        """num / den in canonical form.  A den inside the factor set is
-        split off by root tests; any other goes through the polynomial
-        gcd."""
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return ZERO
-        split = _split(den)
-        if split is None:
-            num, den = _reduce(num, den)
-            split = _split(den)
-            if split is None:
-                return RatQ(num, None, den)
-        (s, c), = split[0].d.items()
-        return RatQ(*_strip(num.shift(-s).scale(c), split[1]))
+        """num / den in canonical form."""
+        return RatQ(*_reduce(num, den))
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RatQ":
-        return RatQ(p, _UNIT)
+        return RatQ(p)
 
     # -- predicates ---------------------------------------------------------
 
@@ -461,7 +337,7 @@ class RatQ:
         return not self.num.d
 
     def is_one(self):
-        return self.e == _UNIT and self.num.is_one()
+        return self.den is _LP_ONE and self.num.is_one()
 
     def __bool__(self):
         return bool(self.num.d)
@@ -475,40 +351,38 @@ class RatQ:
         a = self.num
         if not a.d:
             return other
-        if self.e is _UNIT and other.e is _UNIT:
+        da, db = self.den, other.den
+        if da is _LP_ONE and db is _LP_ONE:
             n = a + b
-            return RatQ(n, _UNIT) if n.d else ZERO
-        return _sum(self, b, other)
+            return RatQ(n) if n.d else ZERO
+        return _sum(a, da, b, db)
 
     def __sub__(self, other):
         b = other.num
         if not b.d:
             return self
-        if self.e is _UNIT and other.e is _UNIT:
+        da, db = self.den, other.den
+        if da is _LP_ONE and db is _LP_ONE:
             n = self.num - b
-            return RatQ(n, _UNIT) if n.d else ZERO
-        return _sum(self, -b, other)
+            return RatQ(n) if n.d else ZERO
+        return _sum(self.num, da, -b, db)
 
     def __neg__(self):
         if not self.num.d:
             return self
-        return RatQ(-self.num, self.e, self._den)
+        return RatQ(-self.num, self.den)
 
     def __mul__(self, other):
         a, b = self.num, other.num
         if not a.d or not b.d:
             return ZERO
-        ea, eb = self.e, other.e
-        if ea is _UNIT and eb is _UNIT:
-            return RatQ(a * b, _UNIT)
-        if ea is None or eb is None:
-            return RatQ.make(a * b, self.den * other.den)
-        # a is prime to D(ea) and b to D(eb): only the cross pairs cancel
-        if eb != _UNIT:
-            a, eb = _strip(a, eb)
-        if ea != _UNIT:
-            b, ea = _strip(b, ea)
-        return RatQ(a * b, _add3(ea, eb))
+        da, db = self.den, other.den
+        if da is _LP_ONE and db is _LP_ONE:
+            return RatQ(a * b)
+        # a is prime to da and b to db: only the cross pairs can cancel
+        a, db = _cancel(a, db)
+        b, da = _cancel(b, da)
+        return RatQ(*_normalize(a * b, da * db))
 
     def __truediv__(self, other):
         if not other.num.d:
@@ -520,8 +394,8 @@ class RatQ:
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, RatQ) and self.e == other.e
-                and self.num == other.num and self._den == other._den)
+        return (isinstance(other, RatQ) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -556,56 +430,49 @@ class RatQ:
         return RatQ.make(num, den)
 
 
-def _sum(x: RatQ, nb: LaurentPoly, y: RatQ) -> RatQ:
-    """x + nb / den(y): the sum (or, with nb = -y.num, the difference)
-    over the common denominator D(max(e_x, e_y))."""
-    ex, ey = x.e, y.e
-    if ex is None or ey is None:
-        return RatQ.make(x.num * y.den + nb * x.den, x.den * y.den)
-    if ex == ey:
-        n, e = x.num + nb, ex
-    else:
-        e = (max(ex[0], ey[0]), max(ex[1], ey[1]), max(ex[2], ey[2]))
-        n = _raise(x.num, ex, e) + _raise(nb, ey, e)
-    if not n.d:
-        return ZERO
-    return RatQ(*_strip(n, e))
+def _sum(a, da, b, db) -> RatQ:
+    """a/da + b/db over lcm(da, db), which keeps the numerator that
+    _reduce cancels against small."""
+    g = _poly_gcd(da, db)
+    xa, xb = da.divexact(g), db.divexact(g)
+    return RatQ.make(a * xb + b * xa, xa * db)
 
 
-def _raise(num: LaurentPoly, e, m) -> LaurentPoly:
-    """The numerator of num / D(e) over the larger denominator D(m)."""
-    if e == m:
-        return num
-    return num * _den_poly((m[0] - e[0], m[1] - e[1], m[2] - e[2]))
+def _cancel(a: LaurentPoly, b: LaurentPoly):
+    """a and b divided by their polynomial gcd."""
+    g = _poly_gcd(a, b)
+    return (a, b) if g.is_one() else (a.divexact(g), b.divexact(g))
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly):
-    """The general path: canonical (num, den) through a polynomial gcd."""
+    """Canonical (num, den) through a polynomial gcd."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return _LP_ZERO, _LP_ONE
-    if not den.is_one():
-        if len(den.d) > 1 or len(num.d) > 1:
-            g = _poly_gcd(num, den)
-            if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
-        s = den.valuation()
-        if s:
-            num = num.shift(-s)
-            den = den.shift(-s)
+    return _normalize(*_cancel(num, den))
+
+
+def _normalize(num: LaurentPoly, den: LaurentPoly):
+    """Canonical (num, den) for a num and den without a common polynomial
+    factor: den shifted to valuation 0, shared integer content removed, a
+    positive leading coefficient, and a unit den as the shared unit
+    polynomial."""
+    s = den.valuation()
+    if s:
+        num = num.shift(-s)
+        den = den.shift(-s)
     c = _int_gcd(num.content(), den.content())
     if den.leading_coeff() < 0:
         c = -c
     if c != 1:
         num = LaurentPoly({e: x // c for e, x in num.d.items()}, _trusted=True)
         den = LaurentPoly({e: x // c for e, x in den.d.items()}, _trusted=True)
-    return num, den
+    return num, (_LP_ONE if den.is_one() else den)
 
 
-ZERO = RatQ(_LP_ZERO, _UNIT)
-ONE = RatQ(_LP_ONE, _UNIT)
+ZERO = RatQ(_LP_ZERO)
+ONE = RatQ(_LP_ONE)
 
 _VPOW_CACHE: dict[int, RatQ] = {}
 
@@ -614,7 +481,7 @@ def vpow(k) -> RatQ:
     """v^k as a field element (v = q^(1/2), so q^a is vpow(2a))."""
     r = _VPOW_CACHE.get(k)
     if r is None:
-        r = RatQ(LaurentPoly.mono(k), _UNIT)
+        r = RatQ(LaurentPoly.mono(k))
         _VPOW_CACHE[k] = r
     return r
 

@@ -4,7 +4,10 @@ pattern that predicts when the standard relation holds, curated regression
 suites, and the exhaustive pair scanner.
 
 A failing relation is informative, not an error: the report keeps the
-residual (left minus right side in normal form) for inspection.
+residual (left minus right side in normal form) for inspection.  Checks
+multiply generators built in the backend's lattice (pbw.Lattice), over
+Z[v, v^-1]; only the residual and the sides handed to callers are
+converted back to the published basis.
 """
 
 from __future__ import annotations
@@ -49,36 +52,24 @@ def relation_scalars(backend):
 # -- cached generator products, straightened in the lattice ------------------
 
 # Every product a relation check needs is made in the backend's lattice
-# twin (pbw.Lattice) from generators converted once, and cached there: a
+# twin (pbw.Lattice) from the cached lattice builds, and cached here: a
 # cached product is normaliser^2 times the published one.  Only residuals
 # and the sides handed to callers go back to the published basis.
 
 _PROD_CACHE: dict = {}
-_LATTICE_GEN: dict = {}
-
-
-def _lattice_generator(backend, n, elements) -> AlgElem:
-    """normaliser * G_elements in the lattice, for a sorted tuple."""
-    key = (backend.name, n, elements)
-    g = _LATTICE_GEN.get(key)
-    if g is None:
-        g = _LATTICE_GEN[key] = backend.lattice.to_lattice(
-            generator(backend, n, elements))
-    return g
 
 
 def _prod(backend, n, ea, eb) -> AlgElem:
     key = (backend.name, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
     p = _PROD_CACHE.get(key)
     if p is None:
-        p = _PROD_CACHE[key] = (_lattice_generator(backend, n, key[2])
-                                * _lattice_generator(backend, n, key[3]))
+        lat = backend.lattice
+        p = _PROD_CACHE[key] = generator(lat, n, key[2]) * generator(lat, n, key[3])
     return p
 
 
 def clear_caches():
     _PROD_CACHE.clear()
-    _LATTICE_GEN.clear()
     extension.clear_cache()
 
 
@@ -154,7 +145,7 @@ def _lattice_star_sides(A, B, n, backend):
     inter, union, sym, amb, bma = _setops(A, B)
     lhs = (_prod(backend, n, A, B).scale(plus)
            + _prod(backend, n, B, A).scale(minus))
-    rhs = (_lattice_generator(backend, n, sym).scale(w)
+    rhs = (generator(lat, n, sym).scale(w)
            + (_prod(backend, n, inter, union) + _prod(backend, n, amb, bma)).scale(s))
     return lhs, rhs
 
@@ -165,7 +156,7 @@ def star_sides(A, B, n, backend):
     cache, so the commutation check of the same pair reuses them."""
     lat = backend.lattice
     lhs, rhs = _lattice_star_sides(A, B, n, backend)
-    return lat.from_lattice(lhs), lat.from_lattice(rhs)
+    return lat.from_lattice(lhs, 2), lat.from_lattice(rhs, 2)
 
 
 def check_star(A, B, n, backend) -> RelationReport:
@@ -176,7 +167,7 @@ def check_star(A, B, n, backend) -> RelationReport:
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
     lhs, rhs = _lattice_star_sides(A, B, n, backend)
-    residual = backend.lattice.from_lattice(lhs - rhs)
+    residual = backend.lattice.from_lattice(lhs - rhs, 2)
     return RelationReport(A, B, n, backend.name,
                           holds_star=residual.is_zero(), residual_star=residual,
                           elapsed=time.perf_counter() - t0)
@@ -186,8 +177,8 @@ def comm_sides(A, B, n, backend):
     """G_A G_B and G_B G_A in the published basis, through the shared
     product cache."""
     lat = backend.lattice
-    return (lat.from_lattice(_prod(backend, n, A, B)),
-            lat.from_lattice(_prod(backend, n, B, A)))
+    return (lat.from_lattice(_prod(backend, n, A, B), 2),
+            lat.from_lattice(_prod(backend, n, B, A), 2))
 
 
 def check_comm(A, B, n, backend) -> RelationReport:
@@ -195,7 +186,7 @@ def check_comm(A, B, n, backend) -> RelationReport:
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
     residual = backend.lattice.from_lattice(
-        _prod(backend, n, A, B) - _prod(backend, n, B, A))
+        _prod(backend, n, A, B) - _prod(backend, n, B, A), 2)
     return RelationReport(A, B, n, backend.name,
                           holds_comm=residual.is_zero(), residual_comm=residual,
                           elapsed=time.perf_counter() - t0)

@@ -11,10 +11,11 @@ Presentation: generators E, F, K, K^-1 with
 Monomials are normal-ordered as F^f K^k E^e.
 
 Rescaling for the lattice basis of pbw.Lattice: F and E have weight 1, one
-weight unit stands for q - q^-1 and the generator normaliser is 1, so
-E' = (q - q^-1) E and F' = (q - q^-1) F satisfy
-    E' F' = F' E' + (q - q^-1)(K - K^-1)
-and relation-check products straighten over Z[v, v^-1].
+weight unit stands for q - q^-1 (the inverse of the exchange constant) and
+the generator normaliser is 1, so E' = (q - q^-1) E and F' = (q - q^-1) F
+satisfy
+    E' F' = F' E' + (q - q^-1)(K - K^-1),
+and generators are built and multiplied over Z[v, v^-1].
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ QM2 = QM * QM                                  # (q - q^-1)^2
 DINV = ONE / QM                                # 1 / (q - q^-1)
 
 
-def _mul_mono(m1, m2):
+def _mul_mono(m1, m2, den=DINV):
+    """m1 * m2 in normal form, for the exchange E F = F E + den (K - K^-1)."""
     f1, k1, e1 = _unpack(m1)
     f2, k2, e2 = _unpack(m2)
     if e1 == 0:
@@ -57,7 +59,7 @@ def _mul_mono(m1, m2):
     base = vpow(4 * k1 * e1 - 4 * k1 * f2)
     k12 = k1 + k2
     out = []
-    for (a, b, e), c in exchange(e1, f2, 1, 1, DINV, 4, -4).items():
+    for (a, b, e), c in exchange(e1, f2, 1, 1, den, 4, -4).items():
         out.append((_pack(f1 + a, b + k12, e + e2),
                     base * c * vpow(-4 * e * k12)))
     return tuple(out)

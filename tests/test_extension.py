@@ -32,10 +32,10 @@ def test_index_set_parse_and_intervals():
 
 def test_prec():
     n = 9
-    a = IndexSet(n, (1, 2))
-    b = IndexSet(n, (4, 7))
-    assert a.prec(b) and not b.prec(a)
-    assert IndexSet(n, ()).prec(a) and a.prec(IndexSet(n, ()))
+    a = IndexSet(n, (1, 2)).elements
+    b = IndexSet(n, (4, 7)).elements
+    assert prec_chain(a, b) and not prec_chain(b, a)
+    assert prec_chain((), a) and prec_chain(a, ())
     assert prec_chain((1,), (), (2, 3), (5,))
     assert not prec_chain((1, 4), (), (2, 3), ())
 

@@ -9,7 +9,11 @@ moves on purpose (schema change), recompute and update it here.
 import hashlib
 import itertools
 import json
+import re
 
+import pytest
+
+from awbi.cli import main
 from awbi.extension import generator
 from awbi.osp_engine import BI
 from awbi.uq_engine import AW
@@ -64,3 +68,40 @@ def test_straightening_digests():
     for backend in (AW, BI):
         ranges, expected = STRAIGHTENING[backend.name]
         assert _straightening_digest(backend, ranges) == expected, backend.name
+
+
+# CLI output bytes: `build --set 1,3-4 --n 5 --full --output json` under two
+# processes, and the `scan --n 4 --output json` stream with its elapsed_s
+# value blanked (the only field that depends on the clock).
+CLI_OUTPUT = {
+    ("aw", "build", "right"):
+        "f90333d4eeed7373a315d370658b5bd5297856cbfb76a94b809d4760b9a09c2e",
+    ("aw", "build", "derived"):
+        "ebba62cf85a262757d66ec9e0fb5e3e1c07619d5f1a6827dae062fd298dca32d",
+    ("aw", "scan", None):
+        "82758ffcaec1d2e2a402250433a681986f5fc89401b2bd3c134ac0b6a6b261c8",
+    ("bi", "build", "right"):
+        "dffa7fb5989603d570df3e1ce7ca7fe48109202b1f83a8c1a9c3fe24b776dcce",
+    ("bi", "build", "derived"):
+        "cad8b48c027165739b65e2b667f3398f6a2f9d66a350f4ad844c1819285eef39",
+    ("bi", "scan", None):
+        "4943a62bf6764f9934b8f94c0cf46d7ae747e2ba02cac108216387312a3d468c",
+}
+
+
+def _cli_digest(capsys, backend, command, process):
+    if command == "build":
+        argv = ["build", "--backend", backend, "--set", "1,3-4", "--n", "5",
+                "--full", "--output", "json", "--process", process]
+    else:
+        argv = ["scan", "--backend", backend, "--n", "4", "--output", "json"]
+    main(argv)
+    out = re.sub(r'"elapsed_s": [-+.e0-9]+', '"elapsed_s": 0',
+                 capsys.readouterr().out)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("backend, command, process", sorted(CLI_OUTPUT, key=str))
+def test_cli_output_digests(capsys, backend, command, process):
+    expected = CLI_OUTPUT[(backend, command, process)]
+    assert _cli_digest(capsys, backend, command, process) == expected

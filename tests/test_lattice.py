@@ -1,7 +1,7 @@
-"""The lattice basis that relation checks multiply in: its products, its
-residuals and its straightening table agree with the published basis, it
-refuses elements that are not integral there, and the independent matrix
-oracle confirms its products."""
+"""The lattice basis that generators are built and multiplied in: its
+products, its residuals and its straightening table agree with the
+published basis, it refuses coefficients that are not integral there, and
+the independent matrix oracle confirms its products."""
 
 import itertools
 import re
@@ -12,7 +12,6 @@ from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.extension import generator
 from awbi.numoracle import DEFAULT_POINTS, RepSpec, evaluate, mat_mul
-from awbi.pbw import AlgElem
 from awbi.qcoeff import ONE, LaurentPoly, RatQ
 from awbi.relations import (_prod, check_star, comm_sides,
                             fundamental_families, relation_scalars, subsets)
@@ -91,13 +90,15 @@ def test_lattice_straightening_table_converts_back():
     (AW, (0, 0, 1), ONE, "E"),          # lattice coefficient 1/(q - q^-1)
     (AW, (0, 0, 0), uq.DINV, "1"),      # DINV times the identity
     (BI, (0, 1, 0, 0), ONE / osp.QM, "A+"),
-    (BI, (0, 0, 0, 0), ONE / (osp.QM * osp.QM), "1"),
+    (BI, (0, 0, 0, 0), ONE / (osp.QM * osp.QM), "1"),   # 1/lambda
 ])
 def test_conversion_rejects_elements_outside_the_lattice(backend, exps, coeff, mono):
-    x = AlgElem.mono(backend, exps, coeff)
+    # a generator term coeff * mono, rescaled as every table entry is:
+    # times the normaliser and factor^-w(mono)
+    key = (backend.pack(*exps),)
     message = rf"^{backend.name}: .* of \[{re.escape(mono)}\] is not integral"
     with pytest.raises(ValueError, match=message):
-        backend.lattice.to_lattice(x)
+        backend.lattice.rescale(coeff, key, 0, 1)
 
 
 def test_oracle_confirms_lattice_products():
