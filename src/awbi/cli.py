@@ -47,14 +47,9 @@ def cmd_check(args) -> int:
     backend = get_backend(args.backend)
     A = IndexSet.parse(args.A, args.n).elements
     B = IndexSet.parse(args.B, args.n).elements
-    if args.relation == "star":
-        rep = relations.check_star(A, B, args.n, backend)
-        holds = rep.holds_star
-        residual = rep.residual_star
-    else:
-        rep = relations.check_comm(A, B, args.n, backend)
-        holds = rep.holds_comm
-        residual = rep.residual_comm
+    rep = getattr(relations, "check_" + args.relation)(A, B, args.n, backend)
+    holds = getattr(rep, "holds_" + args.relation)
+    residual = getattr(rep, "residual_" + args.relation)
     rep.pattern_predicted, rep.witness = relations.predict_pattern(A, B)
     numeric_verdict = None
     if args.numeric:
@@ -63,8 +58,7 @@ def cmd_check(args) -> int:
         elif args.n > 3:
             numeric_verdict = "skipped (n > 3)"
         else:
-            sides = relations.star_sides if args.relation == "star" \
-                else relations.comm_sides
+            sides = getattr(relations, args.relation + "_sides")
             lhs, rhs = sides(A, B, args.n, backend)
             numeric_verdict = numoracle.crosscheck_points(lhs, rhs, (2,) * args.n)
     if args.output == "json":

@@ -34,8 +34,9 @@ class IndexSet:
             raise ValueError("arity must be positive")
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
-        if elems and not (1 <= elems[0] and elems[-1] <= self.n):
-            raise ValueError(f"elements {elems} out of range [1;{self.n}]")
+        for e in elems[:1] + elems[-1:]:
+            if not 1 <= e <= self.n:
+                raise ValueError(f"element {e} out of range [1;{self.n}]")
 
     @staticmethod
     def parse(expr: str, n: int) -> "IndexSet":
@@ -45,16 +46,15 @@ class IndexSet:
         if expr:
             for chunk in expr.split(","):
                 chunk = chunk.strip()
-                m = re.fullmatch(r"(\d+)-(\d+)", chunk)
-                if m:
-                    a, b = int(m.group(1)), int(m.group(2))
-                    if a > b:
-                        raise ValueError(f"bad range {chunk!r}")
-                    elems.extend(range(a, b + 1))
-                elif re.fullmatch(r"\d+", chunk):
-                    elems.append(int(chunk))
-                else:
+                m = re.fullmatch(r"(\d+)(?:-(\d+))?", chunk)
+                if not m:
                     raise ValueError(f"cannot parse set chunk {chunk!r}")
+                a, b = int(m.group(1)), int(m.group(2) or m.group(1))
+                if a > b:
+                    raise ValueError(f"bad range {chunk!r}")
+                if a < 1 or b > n:
+                    raise ValueError(f"set chunk {chunk!r} out of range [1;{n}]")
+                elems.extend(range(a, b + 1))
         return IndexSet(n, tuple(elems))
 
     def intervals(self):
@@ -294,9 +294,7 @@ def derive_empty_scalar(backend: Backend) -> RatQ:
         bracket(G_A, G_B) = w * G_{AB} + s * (c * G_{AB} + G_A G_B),
     so c = (bracket - w * G_AB - s * G_A G_B) / (s * G_AB).
     """
-    from .relations import relation_scalars
-
-    w, s, plus, minus = relation_scalars(backend)
+    w, s, plus, minus = backend.relation
     g1 = generator(backend, 2, (1,))
     g2 = generator(backend, 2, (2,))
     g12 = generator(backend, 2, (1, 2))

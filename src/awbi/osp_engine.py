@@ -169,4 +169,5 @@ BI = Backend(
     },
     casimir_delta=_CAS_DELTA,
     rescaling=((0, 1, 0, 0), SM, QM),
+    relation=(ONE, SP, VH, VHI),                # the q-anticommutator
 )

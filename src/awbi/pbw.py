@@ -74,18 +74,19 @@ class Backend:
     The straightening takes an optional third argument, the exchange
     constant of its rank-one pair.  The module also declares its rescaling
     (weights, factor, normaliser), from which the Lattice twin is derived
-    on first use (see Lattice).  Derived here: the coproduct, counit and
+    on first use (see Lattice), and the scalars (w, s, plus, minus) of its
+    standard relation (see relations).  Derived here: the coproduct, counit and
     label of every monomial, the Casimir counit, and the coproduct table
     of every coideal letter.
     """
 
     __slots__ = ("name", "field_names", "identity", "one", "pack", "unpack",
                  "_mul_mono_raw", "gen_delta", "casimir", "casimir_counit",
-                 "alphabets", "casimir_delta", "rescaling", "_lattice",
-                 "_mul_cache", "_delta_cache")
+                 "alphabets", "casimir_delta", "rescaling", "relation",
+                 "_lattice", "_mul_cache", "_delta_cache")
 
     def __init__(self, name, field_names, pack, unpack, mul_mono, gen_delta,
-                 casimir, alphabets, casimir_delta, rescaling):
+                 casimir, alphabets, casimir_delta, rescaling, relation):
         self.name = name
         self.field_names = field_names
         self.pack = pack
@@ -96,6 +97,7 @@ class Backend:
         self.alphabets = alphabets              # {"R": Alphabet, "L": Alphabet}
         self.casimir_delta = casimir_delta      # tuple of (L letter, R letter, coeff)
         self.rescaling = rescaling              # (weights, factor, normaliser)
+        self.relation = relation                # (w, s, plus, minus)
         self._lattice = None
         self._mul_cache = {}
         self._delta_cache = {}
@@ -216,9 +218,10 @@ class Lattice(Backend):
     straightening is the backend's own, run with a rescaled exchange
     constant: the weighted fields are the exchanged pair and the factor is
     the inverse of the published constant, so each exchange step, which
-    lowers both fields by one, contributes factor^(sum of weights - 1).  A
-    coefficient that is not integral raises ValueError naming the backend
-    and the monomial.
+    lowers both fields by one, contributes factor^(sum of weights - 1).
+    The relation scalars are (w * normaliser, s, plus, minus), as w scales
+    a single generator.  A coefficient that is not integral raises
+    ValueError naming the backend and the monomial.
     """
 
     __slots__ = ("backend", "weights", "factor", "normaliser", "_weight",
@@ -255,6 +258,8 @@ class Lattice(Backend):
             (wl, dl), (wr, dr) = scales["L"][gl], scales["R"][gr]
             rows.append((gl, gr, self.rescale(c, (), -wl - wr, 1 - dl - dr)))
         self.casimir_delta = tuple(rows)
+        w, *rest = backend.relation
+        self.relation = tuple(map(self.integral, (w * self.normaliser, *rest)))
 
     def _alphabet(self, alpha):
         """alpha converted, and the scale (w, d) of each of its letters in
@@ -591,10 +596,13 @@ class AlgElem:
     @staticmethod
     def from_json(backend, obj) -> "AlgElem":
         terms = {}
+        arity = int(obj["arity"])
         for t in obj["terms"]:
             key = tuple(backend.pack(*f) for f in t["mono"])
+            if len(key) != arity:
+                raise ValueError(f"term {t['mono']} does not have {arity} legs")
             acc_term(terms, key, RatQ.from_json(t["coeff"]))
-        return AlgElem(backend, int(obj["arity"]), terms)
+        return AlgElem(backend, arity, terms)
 
     def pretty(self, max_terms=None):
         if not self.terms:

@@ -1,13 +1,13 @@
-"""Relation checking: the standard q-commutation relation and the plain
-commutation relation between two set-indexed generators, the structural
-pattern that predicts when the standard relation holds, curated regression
-suites, and the exhaustive pair scanner.
+"""Relation checking: the standard relation that each backend declares
+(pbw.Backend.relation) and plain commutation between two set-indexed
+generators, the structural pattern that predicts when the standard
+relation holds, curated regression suites, and the exhaustive scanner.
 
 A failing relation is informative, not an error: the report keeps the
-residual (left minus right side in normal form) for inspection.  Checks
-multiply generators built in the backend's lattice (pbw.Lattice), over
-Z[v, v^-1]; only the residual and the sides handed to callers are
-converted back to the published basis.
+residual (left minus right side in normal form) for inspection.  Both
+relations go through one routine that multiplies generators built in the
+backend's lattice (pbw.Lattice), over Z[v, v^-1]; only the residual and
+the sides handed to callers are converted back to the published basis.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .pbw import AlgElem, Backend, bracket_q
-from .qcoeff import ONE, RatQ, lp, vpow
+from .qcoeff import ONE
 from . import extension
 from .extension import generator, prec_chain
 
@@ -31,22 +31,6 @@ def get_backend(name: str) -> Backend:
         from .osp_engine import BI
         return BI
     raise ValueError(f"unknown backend {name!r}")
-
-
-def relation_scalars(backend):
-    """Scalars (w, s, plus, minus) of the standard relation
-        plus*G_A*G_B + minus*G_B*G_A = w*G_sym + s*(G_int*G_uni + G_AmB*G_BmA),
-    i.e. a q-commutator bracket on the first backend and a q-anticommutator
-    on the second."""
-    if backend.name == "aw":
-        w = RatQ.from_poly(lp((-4, 1), (4, -1)))          # q^-2 - q^2
-        s = RatQ.from_poly(lp((2, 1), (-2, -1)))          # q - q^-1
-        plus, minus = vpow(2), -vpow(-2)
-    else:
-        w = ONE
-        s = RatQ.from_poly(lp((1, 1), (-1, 1)))           # q^(1/2) + q^(-1/2)
-        plus, minus = vpow(1), vpow(-1)
-    return w, s, plus, minus
 
 
 # -- cached generator products, straightened in the lattice ------------------
@@ -101,18 +85,15 @@ class RelationReport:
         }
         if self.label:
             obj["label"] = self.label
-        if self.holds_star is not None:
-            obj["holds_star"] = self.holds_star
-            obj["residual_star_terms"] = (
-                0 if self.residual_star is None else self.residual_star.term_count())
-            if include_residual and self.residual_star is not None and not self.holds_star:
-                obj["residual_star"] = self.residual_star.to_json()
-        if self.holds_comm is not None:
-            obj["holds_comm"] = self.holds_comm
-            obj["residual_comm_terms"] = (
-                0 if self.residual_comm is None else self.residual_comm.term_count())
-            if include_residual and self.residual_comm is not None and not self.holds_comm:
-                obj["residual_comm"] = self.residual_comm.to_json()
+        for rel in ("star", "comm"):
+            holds = getattr(self, "holds_" + rel)
+            residual = getattr(self, "residual_" + rel)
+            if holds is not None:
+                obj["holds_" + rel] = holds
+                obj[f"residual_{rel}_terms"] = (
+                    0 if residual is None else residual.term_count())
+                if include_residual and residual is not None and not holds:
+                    obj["residual_" + rel] = residual.to_json()
         if self.pattern_predicted is not None:
             obj["pattern_predicted"] = self.pattern_predicted
             if self.witness is not None:
@@ -135,61 +116,61 @@ def _setops(A, B):
             tuple(sorted(sa ^ sb)), tuple(sorted(sa - sb)), tuple(sorted(sb - sa)))
 
 
-def _lattice_star_sides(A, B, n, backend):
-    """Both sides of the standard relation in the lattice, each
-    normaliser^2 times the published side: the single generator G_sym
-    takes the extra normaliser factor that the products carry."""
+def _lattice_sides(relation, A, B, n, backend):
+    """Both lattice sides, normaliser^2 times the published ones, of
+    G_A G_B = G_B G_A ("comm") or of the standard relation ("star")
+        plus*G_A*G_B + minus*G_B*G_A = w*G_sym + s*(G_int*G_uni + G_AmB*G_BmA)."""
+    ab, ba = _prod(backend, n, A, B), _prod(backend, n, B, A)
+    if relation == "comm":
+        return ab, ba
     lat = backend.lattice
-    w, s, plus, minus = relation_scalars(backend)
-    w, s, plus, minus = map(lat.integral, (w * lat.normaliser, s, plus, minus))
+    w, s, plus, minus = lat.relation
     inter, union, sym, amb, bma = _setops(A, B)
-    lhs = (_prod(backend, n, A, B).scale(plus)
-           + _prod(backend, n, B, A).scale(minus))
-    rhs = (generator(lat, n, sym).scale(w)
-           + (_prod(backend, n, inter, union) + _prod(backend, n, amb, bma)).scale(s))
-    return lhs, rhs
+    return (ab.scale(plus) + ba.scale(minus),
+            generator(lat, n, sym).scale(w)
+            + (_prod(backend, n, inter, union) + _prod(backend, n, amb, bma)).scale(s))
+
+
+def _sides(relation, A, B, n, backend):
+    return tuple(backend.lattice.from_lattice(x, 2)
+                 for x in _lattice_sides(relation, A, B, n, backend))
 
 
 def star_sides(A, B, n, backend):
     """Left and right sides of the standard relation for the ordered pair,
     in the published basis.  All generator products go through the shared
     cache, so the commutation check of the same pair reuses them."""
-    lat = backend.lattice
-    lhs, rhs = _lattice_star_sides(A, B, n, backend)
-    return lat.from_lattice(lhs, 2), lat.from_lattice(rhs, 2)
-
-
-def check_star(A, B, n, backend) -> RelationReport:
-    """Does the standard relation hold for (A, B)?  The residual is formed
-    in the lattice and converted back; the holds flag is recomputed from
-    its normal form, never short-circuited."""
-    A = tuple(sorted(set(A)))
-    B = tuple(sorted(set(B)))
-    t0 = time.perf_counter()
-    lhs, rhs = _lattice_star_sides(A, B, n, backend)
-    residual = backend.lattice.from_lattice(lhs - rhs, 2)
-    return RelationReport(A, B, n, backend.name,
-                          holds_star=residual.is_zero(), residual_star=residual,
-                          elapsed=time.perf_counter() - t0)
+    return _sides("star", A, B, n, backend)
 
 
 def comm_sides(A, B, n, backend):
     """G_A G_B and G_B G_A in the published basis, through the shared
     product cache."""
-    lat = backend.lattice
-    return (lat.from_lattice(_prod(backend, n, A, B), 2),
-            lat.from_lattice(_prod(backend, n, B, A), 2))
+    return _sides("comm", A, B, n, backend)
 
 
-def check_comm(A, B, n, backend) -> RelationReport:
+def _check(relation, A, B, n, backend) -> RelationReport:
+    """The residual of the relation, formed in the lattice and converted
+    back; the holds flag is recomputed from its normal form, never
+    short-circuited."""
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
-    residual = backend.lattice.from_lattice(
-        _prod(backend, n, A, B) - _prod(backend, n, B, A), 2)
-    return RelationReport(A, B, n, backend.name,
-                          holds_comm=residual.is_zero(), residual_comm=residual,
-                          elapsed=time.perf_counter() - t0)
+    lhs, rhs = _lattice_sides(relation, A, B, n, backend)
+    residual = backend.lattice.from_lattice(lhs - rhs, 2)
+    return RelationReport(A, B, n, backend.name, elapsed=time.perf_counter() - t0,
+                          **{"holds_" + relation: residual.is_zero(),
+                             "residual_" + relation: residual})
+
+
+def check_star(A, B, n, backend) -> RelationReport:
+    """Does the standard relation hold for (A, B)?"""
+    return _check("star", A, B, n, backend)
+
+
+def check_comm(A, B, n, backend) -> RelationReport:
+    """Do G_A and G_B commute?"""
+    return _check("comm", A, B, n, backend)
 
 
 # -- the structural pattern ------------------------------------------------------
@@ -352,16 +333,16 @@ EXPLICIT_COMM_PAIRS = (
 )
 
 
-def named_commutation_cases(k_even=3, k_odd=2):
+def named_commutation_cases():
     """Curated commutation regressions: the fifteen explicit two-interval
     pairs, the even-set versus bracket pairs, and the interval families."""
     cases = []
     for A, B in EXPLICIT_COMM_PAIRS:
         cases.append(("explicit-list", A, B, max(A)))
-    for k in range(1, k_even + 1):
+    for k in range(1, 4):
         evens = tuple(range(2, 2 * k + 1, 2))
         cases.append((f"evens-vs-bracket k={k}", evens, (1, 2 * k + 1), 2 * k + 1))
-    for k in range(1, k_odd + 1):
+    for k in range(1, 3):
         full = tuple(range(1, 2 * k + 2))
         cases.append((f"bracket-vs-filled k={k}",
                       (1, 2 * k + 1), (1, 2) + tuple(range(4, 2 * k + 1, 2)) + (2 * k + 1,),
@@ -401,14 +382,12 @@ def suite_named_lemmas(backend):
     """Fixed regression list of commutation and standard-relation
     statements at small parameters."""
     reports = []
-    for label, A, B, n in named_commutation_cases():
-        rep = check_comm(A, B, n, backend)
-        rep.label = label
-        reports.append(rep)
-    for label, A, B, n in named_star_cases():
-        rep = check_star(A, B, n, backend)
-        rep.label = label
-        reports.append(rep)
+    for check, cases in ((check_comm, named_commutation_cases()),
+                         (check_star, named_star_cases())):
+        for label, A, B, n in cases:
+            rep = check(A, B, n, backend)
+            rep.label = label
+            reports.append(rep)
     return reports
 
 
@@ -422,11 +401,10 @@ def q_identities_regression(backend):
         [[c,d]_q,b]_q = [[c,b]_q,d]_q    when [b,d] = 0,
         [[c,d]_q,b]_q = [c,[d,b]_q]_q    when [b,c] = 0.
     """
-    qq = vpow(2) if backend.name == "aw" else vpow(1)
-    qi = vpow(-2) if backend.name == "aw" else vpow(-1)
+    q = backend.relation[2]                     # q on aw, q^(1/2) on bi
 
     def br(x, y):
-        return bracket_q(x, y, qq, -qi)
+        return bracket_q(x, y, q, -(ONE / q))
 
     def comm(x, y):
         return bracket_q(x, y, ONE, -ONE)

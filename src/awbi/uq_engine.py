@@ -158,4 +158,5 @@ AW = Backend(
     },
     casimir_delta=_CAS_DELTA,
     rescaling=((1, 0, 1), QM, ONE),
+    relation=(-(QM * QP), QM, Q1, -QI),        # the q-commutator, w = q^-2 - q^2
 )

@@ -23,7 +23,7 @@ from awbi.numoracle import (DEFAULT_POINTS, RepSpec, crosscheck_points,
                             evaluate, mat_add, mat_mul)
 from awbi.pbw import AlgElem, EdgeElem, bracket_q
 from awbi.relations import (check_star, q_identities_regression,
-                            relation_scalars, scan, star_sides, suite_commute,
+                            scan, star_sides, suite_commute,
                             suite_fundamental, suite_named_lemmas,
                             suite_theorem_B)
 
@@ -200,7 +200,7 @@ def _star_matrices_equal(A, B, n, v):
     evaluated on its own and every product is a matrix product, so no
     product of generators passes through the engine's normal forms."""
     spec = RepSpec((2,) * n, v)
-    w, s, plus, minus = (c.evaluate(v) for c in relation_scalars(AW))
+    w, s, plus, minus = (c.evaluate(v) for c in AW.relation)
     sa, sb = set(A), set(B)
     inter, union, sym, amb, bma = (tuple(sorted(x)) for x in
                                    (sa & sb, sa | sb, sa ^ sb, sa - sb, sb - sa))

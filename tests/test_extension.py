@@ -28,6 +28,10 @@ def test_index_set_parse_and_intervals():
         IndexSet.parse("5", 4)
     with pytest.raises(ValueError):
         IndexSet.parse("x", 4)
+    # a range is checked before it is expanded, and the error names it
+    with pytest.raises(ValueError, match="2-200000") as err:
+        IndexSet.parse("2-200000", 3)
+    assert len(str(err.value)) < 200
 
 
 def test_prec():

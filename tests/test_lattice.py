@@ -14,7 +14,7 @@ from awbi.extension import generator
 from awbi.numoracle import DEFAULT_POINTS, RepSpec, evaluate, mat_mul
 from awbi.qcoeff import ONE, LaurentPoly, RatQ
 from awbi.relations import (_prod, check_star, comm_sides,
-                            fundamental_families, relation_scalars, subsets)
+                            fundamental_families, subsets)
 
 from test_golden import STRAIGHTENING
 
@@ -36,7 +36,7 @@ def test_lattice_products_convert_back_to_published_products():
 
 def _published_star_residual(A, B, n, backend):
     """lhs - rhs of the standard relation from published-basis products."""
-    w, s, plus, minus = relation_scalars(backend)
+    w, s, plus, minus = backend.relation
     sa, sb = set(A), set(B)
 
     def g(S):

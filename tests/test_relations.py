@@ -75,6 +75,16 @@ def test_theorem_pairs_contains_rank_one():
     assert ((1, 2), (1, 3)) not in pairs
 
 
+def test_theorem_pairs_match_predict_pattern():
+    # the pairs the quadruple forms generate are the pairs the scan's
+    # decider accepts
+    for n, count in ((1, 4), (2, 16), (3, 61), (4, 214), (5, 694)):
+        accepted = {(A, B) for A in subsets(n) for B in subsets(n)
+                    if predict_pattern(A, B)[0]}
+        assert set(theorem_pairs(n)) == accepted, n
+        assert len(accepted) == count, n
+
+
 def test_suite_theorem_B_n3():
     for backend in (AW, BI):
         reports = suite_theorem_B(3, backend)

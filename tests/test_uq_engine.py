@@ -198,7 +198,7 @@ def test_letter_coproduct_outside_the_alphabet_is_rejected():
     with pytest.raises(ValueError, match="side-R letter F "):
         Backend("aw-bad", AW.field_names, AW.pack, AW.unpack, uq._mul_mono,
                 AW.gen_delta, AW.casimir, alphabets, AW.casimir_delta,
-                AW.rescaling)
+                AW.rescaling, AW.relation)
 
 
 def test_tau_well_defined_on_relations():
@@ -281,3 +281,8 @@ def test_element_json_roundtrip():
     obj = x.to_json()
     assert AlgElem.from_json(AW, obj) == x
     assert obj["arity"] == 2
+    # every term must have one leg per tensor factor
+    coeff = obj["terms"][0]["coeff"]
+    bad = {"arity": 3, "terms": [{"mono": [[0, 0, 1]], "coeff": coeff}]}
+    with pytest.raises(ValueError, match="does not have 3 legs"):
+        AlgElem.from_json(AW, bad)
