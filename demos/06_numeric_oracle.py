@@ -1,10 +1,12 @@
 """Cross-validation in exact rational representations.
 
-The symbolic engine decides equality by normal forms; this independent
-route evaluates both sides of an identity as exact rational matrices in
+The symbolic engine decides equality by normal forms; the oracle
+evaluates both sides of an identity as exact rational matrices in
 finite-dimensional weight modules at two rational parameter values and
-compares entrywise.  Agreement between the two paths audits the
-straightening rules end to end.
+compares entrywise.  A holding relation's sides are one normal form, so
+they agree by construction; the multiplicativity audit at the end, a
+product of separately evaluated generators, is what audits the
+straightening.
 """
 
 from fractions import Fraction

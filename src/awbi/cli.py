@@ -55,8 +55,8 @@ def cmd_check(args) -> int:
     if args.numeric:
         if backend.name != "aw":
             numeric_verdict = "skipped (numeric oracle covers the aw backend only)"
-        elif args.n > 3:
-            numeric_verdict = "skipped (n > 3)"
+        elif args.n > 5:
+            numeric_verdict = "skipped (n > 5)"
         else:
             sides = getattr(relations, args.relation + "_sides")
             lhs, rhs = sides(A, B, args.n, backend)

@@ -1,10 +1,14 @@
-"""Independent numeric cross-validation: evaluate symbolic identities in
-finite-dimensional representations at exact rational parameter values.
+"""Numeric cross-validation: evaluate symbolic elements as exact rational
+matrices in finite-dimensional U_q(sl2) weight modules.
 
-Everything is exact Fraction arithmetic; equality checks are decisive, no
-tolerances.  This module deliberately shares nothing with the symbolic
-normal-form path except the element data structure, so agreement between
-the two is a genuine audit of the straightening engine.
+Everything is exact Fraction arithmetic; equality is decisive, with no
+tolerances.  Evaluation shares only the element data structure with the
+normal-form path, but a holding relation's two sides are one normal
+form, so their matrices agree by construction.  Two kinds of check are
+independent: failing pairs, whose matrices show that the sides differ as
+operators, and products of separately evaluated generators, which audit
+the straightening (criterion 8 at n=4, the lattice oracle test, demo 06).
+ROADMAP item 4 covers the rest.
 
 Only the U_q(sl2) backend has representations here; conventions for the
 super side vary and the symbolic checks remain the ground truth there.
@@ -14,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
 
 from .pbw import AlgElem
 
@@ -61,15 +67,6 @@ def mat_scale(a, c):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_kron(a, b):
-    nb = len(b)
-    return tuple(
-        tuple(a[i // nb][j // nb] * b[i % nb][j % nb]
-              for j in range(len(a[0]) * len(b[0])))
-        for i in range(len(a) * nb)
-    )
-
-
 def mat_is_zero(a):
     return all(all(x == 0 for x in row) for row in a)
 
@@ -98,61 +95,40 @@ def rep_matrices(dim: int, q: Fraction):
     return {"E": E, "F": F, "K": K, "Ki": Ki}
 
 
-class _LegCache:
-    """Monomial matrices F^f K^k E^e per leg, with cached powers."""
-
-    def __init__(self, dim, q):
-        self.dim = dim
-        self.gens = rep_matrices(dim, q)
-        self._pow = {}
-        self._mono = {}
-
-    def power(self, name, p):
-        key = (name, p)
-        m = self._pow.get(key)
-        if m is None:
-            if p == 0:
-                m = mat_identity(self.dim)
-            else:
-                m = mat_mul(self.power(name, p - 1), self.gens[name])
-            self._pow[key] = m
-        return m
-
-    def mono(self, fke):
-        m = self._mono.get(fke)
-        if m is None:
-            f, k, e = fke
-            m = self.power("F", f)
-            m = mat_mul(m, self.power("K", k) if k >= 0 else self.power("Ki", -k))
-            m = mat_mul(m, self.power("E", e))
-            self._mono[fke] = m
-        return m
+@cache
+def _mono_entries(dim, q, f, k, e):
+    """The nonzero entries (row, column, value) of F^f K^k E^e; at most
+    dim of them, since the monomial maps each weight vector to a multiple
+    of one weight vector."""
+    gens = rep_matrices(dim, q)
+    m = mat_identity(dim)
+    for name, p in (("F", f), ("K" if k >= 0 else "Ki", abs(k)), ("E", e)):
+        for _ in range(p):
+            m = mat_mul(m, gens[name])
+    return tuple((i, j, x) for i, row in enumerate(m)
+                 for j, x in enumerate(row) if x)
 
 
 def evaluate(x: AlgElem, spec: RepSpec):
-    """Evaluate a symbolic element to an exact rational matrix: each tensor
-    monomial becomes a Kronecker product of per-leg monomial matrices."""
+    """Evaluate a symbolic element to an exact rational matrix.  A tensor
+    monomial is the Kronecker product of its legs' monomial matrices, the
+    first leg most significant; each product of per-leg nonzero entries
+    lands on one matrix entry, so no dense product is formed."""
     if x.backend.name != "aw":
         raise ValueError("numeric evaluation is only defined for the aw backend")
     if x.arity != len(spec.dims):
         raise ValueError(f"arity {x.arity} does not match dims {spec.dims}")
     q = spec.v_value ** 2
-    legs = [_LegCache(d, q) for d in spec.dims]
-    size = 1
-    for d in spec.dims:
-        size *= d
+    size = prod(spec.dims)
     acc = [[Fraction(0)] * size for _ in range(size)]
     unpack = x.backend.unpack
     for key, coeff in x.terms.items():
-        m = legs[0].mono(unpack(key[0]))
-        for i in range(1, len(key)):
-            m = mat_kron(m, legs[i].mono(unpack(key[i])))
-        c = coeff.evaluate(spec.v_value)
-        for i in range(size):
-            row, mrow = acc[i], m[i]
-            for j in range(size):
-                if mrow[j]:
-                    row[j] += c * mrow[j]
+        entries = [(0, 0, coeff.evaluate(spec.v_value))]
+        for d, mono in zip(spec.dims, key):
+            entries = [(r * d + i, c * d + j, v * w) for r, c, v in entries
+                       for i, j, w in _mono_entries(d, q, *unpack(mono))]
+        for r, c, v in entries:
+            acc[r][c] += v
     return tuple(tuple(row) for row in acc)
 
 

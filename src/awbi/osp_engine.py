@@ -61,8 +61,6 @@ def _mul_mono(m1, m2, den=SINV):
     base = vpow(b1 * (c2 - a2))
     if neg:
         base = -base
-    if c1 == 0 or a2 == 0:
-        return ((_pack(a1 + a2, c1 + c2, b1 + b2, p), base),)
     # rewrite A+^c1 A-^a2 as A-^am K^t A+^ap, then move K^t right past
     # A+^(ap+c2)
     out = []

@@ -50,10 +50,6 @@ def _mul_mono(m1, m2, den=DINV):
     """m1 * m2 in normal form, for the exchange E F = F E + den (K - K^-1)."""
     f1, k1, e1 = _unpack(m1)
     f2, k2, e2 = _unpack(m2)
-    if e1 == 0:
-        return ((_pack(f1 + f2, k1 + k2, e2), vpow(-4 * k1 * f2)),)
-    if f2 == 0:
-        return ((_pack(f1, k1 + k2, e1 + e2), vpow(-4 * e1 * k2)),)
     # move K^k1 right past E^e1 then F^f2, rewrite E^e1 F^f2, then move
     # each E^e past K^(k1+k2)
     base = vpow(4 * k1 * e1 - 4 * k1 * f2)

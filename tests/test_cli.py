@@ -69,6 +69,10 @@ def test_check_numeric_flag(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["numeric"] is True
+    code, out = run(capsys, "check", "--A", "1,2", "--B", "1,3", "--n", "5",
+                    "--numeric", "--output", "json")
+    assert code == 1
+    assert json.loads(out)["numeric"] is False
 
 
 def test_check_comm_numeric_multiplies_each_product_once(capsys, monkeypatch):
@@ -175,10 +179,10 @@ def test_check_numeric_skip_names_reason(capsys):
     assert code == 0
     assert json.loads(out)["numeric"] == \
         "skipped (numeric oracle covers the aw backend only)"
-    code, out = run(capsys, "check", "--A", "1,2", "--B", "2,3", "--n", "4",
+    code, out = run(capsys, "check", "--A", "1,2", "--B", "2,3", "--n", "6",
                     "--numeric")
     assert code == 0
-    assert "numeric verdict: skipped (n > 3)" in out
+    assert "numeric verdict: skipped (n > 5)" in out
 
 
 def test_scan_reports_noncommuting_pair_with_A_inside_B(capsys, monkeypatch):

@@ -119,6 +119,15 @@ def test_mixed_dims():
     idm = evaluate(AlgElem.one(AW, 2), spec)
     prod = mat_add(mat_mul(m, idm), mat_mul(idm, m), 1, -1)
     assert mat_is_zero(prod)
+    # the first leg is the most significant index
+    E2 = rep_matrices(2, spec.v_value ** 2)["E"]
+    F3 = rep_matrices(3, spec.v_value ** 2)["F"]
+    e_leg = evaluate(AlgElem.mono(AW, (0, 0, 1)).pad(0, 1), spec)
+    f_leg = evaluate(AlgElem.mono(AW, (1, 0, 0)).pad(1, 0), spec)
+    assert e_leg == tuple(tuple(E2[i // 3][j // 3] * (i % 3 == j % 3)
+                                for j in range(6)) for i in range(6))
+    assert f_leg == tuple(tuple((i // 3 == j // 3) * F3[i % 3][j % 3]
+                                for j in range(6)) for i in range(6))
 
 
 def test_suite_agreement_with_symbolic_verdicts():
