@@ -113,7 +113,9 @@ def evaluate(x: AlgElem, spec: RepSpec):
     """Evaluate a symbolic element to an exact rational matrix.  A tensor
     monomial is the Kronecker product of its legs' monomial matrices, the
     first leg most significant; each product of per-leg nonzero entries
-    lands on one matrix entry, so no dense product is formed."""
+    lands on one matrix entry, so no dense product is formed.  Elements
+    converted from the lattice share their coefficients, so each distinct
+    coefficient is evaluated once per call."""
     if x.backend.name != "aw":
         raise ValueError("numeric evaluation is only defined for the aw backend")
     if x.arity != len(spec.dims):
@@ -122,8 +124,12 @@ def evaluate(x: AlgElem, spec: RepSpec):
     size = prod(spec.dims)
     acc = [[Fraction(0)] * size for _ in range(size)]
     unpack = x.backend.unpack
+    values = {}
     for key, coeff in x.terms.items():
-        entries = [(0, 0, coeff.evaluate(spec.v_value))]
+        value = values.get(coeff)
+        if value is None:
+            value = values[coeff] = coeff.evaluate(spec.v_value)
+        entries = [(0, 0, value)]
         for d, mono in zip(spec.dims, key):
             entries = [(r * d + i, c * d + j, v * w) for r, c, v in entries
                        for i, j, w in _mono_entries(d, q, *unpack(mono))]

@@ -8,6 +8,22 @@ residual (left minus right side in normal form) for inspection.  Both
 relations go through one routine that multiplies generators built in the
 backend's lattice (pbw.Lattice), over Z[v, v^-1]; only the residual and
 the sides handed to callers are converted back to the published basis.
+
+That routine decides each pair at its compressed arity.  Read a pair
+(A, B) of subsets of [1;n] as a word over the letters 00, 10, 01, 11
+(leg i in A? in B?), merge each run of equal letters into one letter and
+strip the 00 letters at both ends.  Every set a relation uses (A, B, their
+intersection, union, symmetric difference and both differences) is a
+union of letter classes, so it is the compressed pair's set with each run
+widened back and the stripped legs restored.  The coproduct on a leg,
+id^(i-1) (x) Delta (x) id^(n-i), is an algebra morphism that sends each
+generator to the generator with that leg doubled (the equivalence of
+construction orders that plan_derived rests on), and padding with
+identity legs sends it to the same set shifted; both are injective, since
+the counit on either copy undoes them.  So the residual at arity n is the
+compressed residual pushed through one coproduct per extra leg of each run
+and then padded: the same element, zero exactly when the compressed one
+is.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from dataclasses import dataclass
 from .pbw import AlgElem, Backend, bracket_q
 from .qcoeff import ONE
 from . import extension
-from .extension import generator, prec_chain
+from .extension import IndexSet, generator, prec_chain
 
 
 def get_backend(name: str) -> Backend:
@@ -42,6 +58,10 @@ def get_backend(name: str) -> Backend:
 
 _PROD_CACHE: dict = {}
 
+# Lattice residuals of compressed pairs that stand for longer ones, keyed
+# by (backend, relation, arity, A, B) of the compressed pair.
+_RESIDUAL_CACHE: dict = {}
+
 
 def _prod(backend, n, ea, eb) -> AlgElem:
     key = (backend.name, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
@@ -54,6 +74,7 @@ def _prod(backend, n, ea, eb) -> AlgElem:
 
 def clear_caches():
     _PROD_CACHE.clear()
+    _RESIDUAL_CACHE.clear()
     extension.clear_cache()
 
 
@@ -149,15 +170,64 @@ def comm_sides(A, B, n, backend):
     return _sides("comm", A, B, n, backend)
 
 
+def _compress(A, B, n):
+    """The compressed pair of (A, B) inside [1;n], as (A', B', runs, left,
+    right): runs holds the length of each run of equal membership letters
+    that survives, so the compressed arity is len(runs), and left and right
+    count the 00 legs stripped at each end.  A word of 00 letters only is
+    one run.  Elements outside [1;n] raise ValueError."""
+    sa, sb = set(IndexSet(n, A).elements), set(IndexSet(n, B).elements)
+    word = [(i in sa, i in sb) for i in range(1, n + 1)]
+    runs = [(x, len(list(g))) for x, g in itertools.groupby(word)]
+    left = right = 0
+    if len(runs) > 1 and runs[0][0] == (False, False):
+        left = runs.pop(0)[1]
+    if len(runs) > 1 and runs[-1][0] == (False, False):
+        right = runs.pop()[1]
+    return (tuple(j for j, ((a, _), _) in enumerate(runs, 1) if a),
+            tuple(j for j, ((_, b), _) in enumerate(runs, 1) if b),
+            tuple(size for _, size in runs), left, right)
+
+
+def _lift(x: AlgElem, runs, left, right) -> AlgElem:
+    """x with leg j widened to runs[j-1] legs by coproducts, right to left
+    so the legs still to widen keep their positions, then padded."""
+    for j in range(len(runs), 0, -1):
+        for _ in range(runs[j - 1] - 1):
+            x = x.coproduct(j)
+    return x.pad(left, right)
+
+
+def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
+    """lhs - rhs of the relation in the lattice, decided at the compressed
+    arity and lifted back to n (see the module docstring).  A pair that
+    does not compress goes through _lattice_sides directly; the residual
+    of a compressed pair that stands for longer ones is cached."""
+    A2, B2, runs, left, right = _compress(A, B, n)
+    m = len(runs)
+    if m == n:
+        lhs, rhs = _lattice_sides(relation, A, B, n, backend)
+        return lhs - rhs
+    key = (backend.name, relation, m, A2, B2)
+    r = _RESIDUAL_CACHE.get(key)
+    if r is None:
+        lhs, rhs = _lattice_sides(relation, A2, B2, m, backend)
+        r = _RESIDUAL_CACHE[key] = lhs - rhs
+    return _lift(r, runs, left, right)
+
+
 def _check(relation, A, B, n, backend) -> RelationReport:
-    """The residual of the relation, formed in the lattice and converted
-    back; the holds flag is recomputed from its normal form, never
-    short-circuited."""
+    """The residual of the relation at arity n, formed in the lattice from
+    the compressed pair and converted back once; the holds flag is
+    recomputed from its normal form, never short-circuited.  Lifting is
+    exact: the coproducts and the padding are injective algebra morphisms
+    (the counit on either copy inverts a coproduct), so the lifted residual
+    is the one the direct products would give."""
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
-    lhs, rhs = _lattice_sides(relation, A, B, n, backend)
-    residual = backend.lattice.from_lattice(lhs - rhs, 2)
+    residual = backend.lattice.from_lattice(
+        _lattice_residual(relation, A, B, n, backend), 2)
     return RelationReport(A, B, n, backend.name, elapsed=time.perf_counter() - t0,
                           **{"holds_" + relation: residual.is_zero(),
                              "residual_" + relation: residual})
