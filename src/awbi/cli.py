@@ -3,6 +3,7 @@ index sets, run the exhaustive pair scan, and run the self-test suites.
 
 Exit-code contract: 0 means every expected relation held; nonzero means a
 check failed (or bad arguments), so CI can gate on full verification runs.
+A reader that closes stdout early ends the run quietly with 0.
 Scans stream JSON lines so partial output survives interruption.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -326,6 +328,13 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`awbi scan ... | head`); point
+        # stdout at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,11 @@ backend's Lattice twin, where the presentation tables, every intermediate
 build state, generators and products all have Laurent polynomial
 coefficients, so neither construction nor the product loop meets a
 denominator.  Conversion to the published basis happens only at the edge:
-a finished generator, a residual or a printed side.
+a finished generator, a residual or a printed side.  A product of two
+lattice elements runs on Kronecker-packed coefficients: each Laurent
+polynomial becomes one int, its value at v = 2^k, with the slot width k
+chosen per product from an l1 bound that no coefficient of the result or
+of any partial sum can reach, so unpacking is exact (Lattice.mul_terms).
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as words over a coideal alphabet (EdgeElem).  Interior legs
@@ -136,6 +140,11 @@ class Backend:
             self._mul_cache[key] = r
         return r
 
+    def mul_terms(self, a, b):
+        """Product of two term dicts of this backend (see mul_terms); the
+        product behind AlgElem.__mul__."""
+        return mul_terms(self.mul_mono, a, b)
+
     def delta_mono(self, m):
         """Coproduct of a single-factor monomial as a tuple of
         (left mono, right mono, coeff) triples: the ordered product of the
@@ -222,10 +231,20 @@ class Lattice(Backend):
     The relation scalars are (w * normaliser, s, plus, minus), as w scales
     a single generator.  A coefficient that is not integral raises
     ValueError naming the backend and the monomial.
+
+    Products of elements (mul_terms) run on Kronecker-packed coefficients.
+    A coefficient c of valuation s becomes the int P = (c v^-s)(2^k), so
+    coefficient products and sums become int products and shifted int
+    sums.  The slot width k, a multiple of 32, is chosen per product with
+    2^(k-1) above the l1 bound W = l1(a) l1(b) prod_i F_i of
+    product_bound, which no coefficient of any partial sum can exceed;
+    the balanced base-2^k digits of each packed result are then exactly its
+    coefficients (the argument is in mul_terms).  The packed leg products
+    are cached per k, as mul_mono is.
     """
 
     __slots__ = ("backend", "weights", "factor", "normaliser", "_weight",
-                 "_scales", "_back")
+                 "_scales", "_back", "_leg_l1", "_packed")
 
     def __init__(self, backend):
         self.backend = backend
@@ -239,6 +258,8 @@ class Lattice(Backend):
         self._weight = {}       # mono -> w(mono)
         self._scales = {}       # (w, d) -> factor^w * normaliser^d
         self._back = {}         # (LaurentPoly, w, degree) -> published coefficient
+        self._leg_l1 = {}       # (m1, m2) -> sum of l1 norms over mul_mono(m1, m2)
+        self._packed = {}       # k -> {(m1, m2): ((m, P, s), ...)}
         self._mul_cache = {}
         self._delta_cache = {}
         raw, den = backend._mul_mono_raw, self._scale(sum(self.weights) - 1, 0)
@@ -337,8 +358,137 @@ class Lattice(Backend):
             out[k] = r
         return AlgElem(self.backend, x.arity, out)
 
+    def leg_l1(self, m1, m2):
+        """The sum of the l1 norms of the coefficients of mul_mono(m1, m2),
+        memoised."""
+        r = self._leg_l1.get((m1, m2))
+        if r is None:
+            r = self._leg_l1[(m1, m2)] = sum(
+                _l1(c) for _, c in self.mul_mono(m1, m2))
+        return r
+
+    def product_bound(self, a, b):
+        """W = l1(a) * l1(b) * prod_i F_i for two term dicts of one arity,
+        where l1 of a term dict sums the l1 norms of its coefficients and
+        F_i = max(1, max over the distinct leg-i monomials x of a and y of b
+        of leg_l1(x, y)).  W bounds the absolute value of every coefficient
+        of every partial product and partial sum of mul_terms(a, b)."""
+        w = sum(map(_l1, a.values())) * sum(map(_l1, b.values()))
+        for xs, ys in zip(zip(*a), zip(*b)):
+            ys = set(ys)
+            w *= max(1, max(self.leg_l1(x, y) for x in set(xs) for y in ys))
+        return w
+
+    def mul_terms(self, a, b):
+        """Product of two term dicts of Laurent polynomials, on
+        Kronecker-packed coefficients; the same result as
+        mul_terms(self.mul_mono, a, b).
+
+        A coefficient c = sum_e c_e v^e is held as the pair (P, s), with s
+        its valuation and P = sum_e c_e 2^(k(e - s)), that is c v^-s
+        evaluated at v = 2^k: one Python int whose slot e - s holds c_e.  A
+        monomial +-v^e packs to (+-1, e).  Products are (P1 P2, s1 + s2); a
+        sum first shifts the operand with the larger s left by k times the
+        difference.  Every step is exact integer arithmetic on the
+        evaluations, so the only question is whether the final evaluation
+        gives back its coefficients.  It does when each of them lies in
+        [-2^(k-1), 2^(k-1)): balanced base-2^k digits are unique, and
+        _kron_unpack reads them off from the lowest slot up.
+
+        The slot width is k = slot_width(W) for W = product_bound(a, b), so
+        W < 2^(k-1), and W bounds every coefficient: each term of the
+        product is c1 c2 times one term per leg of mul_mono(x_i, y_i), so
+        the l1 norm of each partial product is at most
+        l1(c1) l1(c2) prod_i F_i, and summing over all pairs of terms and
+        all choices of leg terms bounds the l1 norm of every partial sum,
+        hence each of its coefficients, by W.  Zero sums are kept until the
+        end and dropped there (P == 0 exactly when the sum is zero)."""
+        if not a or not b:
+            return {}
+        k = slot_width(self.product_bound(a, b))
+        legs = self._packed.setdefault(k, {})   # mul_mono, packed at k
+        pb = [(key, *_kron_pack(c, k)) for key, c in b.items()]
+        out = {}
+        for k1, c1 in a.items():
+            p1, s1 = _kron_pack(c1, k)
+            for k2, p2, s2 in pb:
+                # one pass over the legs for the common case, a leg product
+                # of one term; legs of several terms are expanded after it
+                p, s, key, split = p1 * p2, s1 + s2, [], []
+                for xy in zip(k1, k2):
+                    fr = legs.get(xy)
+                    if fr is None:
+                        fr = legs[xy] = tuple(
+                            (m, *_kron_pack(c, k)) for m, c in self.mul_mono(*xy))
+                    if len(fr) == 1:
+                        (m, pf, sf), = fr
+                        if pf != 1:
+                            p *= pf
+                        s += sf
+                    else:
+                        split.append((len(key), fr))
+                        m = None
+                    key.append(m)
+                parts = [(key, p, s)]
+                for i, fr in split:
+                    parts = [(kk[:i] + [m] + kk[i + 1:], p * pf, s + sf)
+                             for kk, p, s in parts for m, pf, sf in fr]
+                for kk, p, s in parts:
+                    kk = tuple(kk)
+                    cur = out.get(kk)
+                    if cur is None:
+                        out[kk] = (p, s)
+                    else:
+                        p0, s0 = cur
+                        if s0 == s:
+                            out[kk] = (p0 + p, s)
+                        elif s0 < s:
+                            out[kk] = (p0 + (p << k * (s - s0)), s0)
+                        else:
+                            out[kk] = ((p0 << k * (s0 - s)) + p, s)
+        return {kk: _kron_unpack(p, s, k) for kk, (p, s) in out.items() if p}
+
     def __repr__(self):
         return f"Lattice({self.backend.name})"
+
+
+def slot_width(bound):
+    """The least multiple of 32, k, with 2^(k-1) > bound: the packing
+    width at which every coefficient of absolute value at most bound fits
+    one balanced base-2^k digit."""
+    return 32 * (bound.bit_length() // 32 + 1)
+
+
+def _l1(c):
+    """The l1 norm of a Laurent polynomial: the sum of its |coefficients|."""
+    return sum(map(abs, c.d.values()))
+
+
+def _kron_pack(c, k):
+    """The Laurent polynomial c as (P, s) at slot width k (see
+    Lattice.mul_terms)."""
+    d = c.d
+    if len(d) == 1:
+        (s, p), = d.items()
+        return p, s
+    s = min(d)
+    return sum(x << k * (e - s) for e, x in d.items()), s
+
+
+def _kron_unpack(p, s, k):
+    """The Laurent polynomial packed as (p, s) at slot width k, read off as
+    balanced base-2^k digits from the lowest slot up."""
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    d = {}
+    while p:
+        x = p & mask
+        if x >= half:
+            x -= full
+        if x:
+            d[s] = x
+        p = (p - x) >> k
+        s += 1
+    return LaurentPoly(d, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +693,10 @@ class AlgElem:
     # -- multiplication --------------------------------------------------------
 
     def __mul__(self, other):
-        """Normal-form product (see mul_terms)."""
+        """Normal-form product (see Backend.mul_terms)."""
         self._check(other)
         return AlgElem(self.backend, self.arity,
-                       mul_terms(self.backend.mul_mono, self.terms, other.terms))
+                       self.backend.mul_terms(self.terms, other.terms))
 
     # -- Hopf structure ---------------------------------------------------------
 

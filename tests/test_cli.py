@@ -1,6 +1,10 @@
 """Command-line surface: flags, exit codes, JSON output, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -206,3 +210,23 @@ def test_build_empty_set(capsys):
     code, out = run(capsys, "build", "--set", "", "--n", "3")
     assert code == 0
     assert "1 terms" in out
+
+
+def test_scan_into_closed_pipe_exits_quietly():
+    # the read end is closed before the child starts, so its first write
+    # meets a broken pipe, as under `awbi scan ... | head` once head exits
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "awbi", "scan", "--n", "2", "--max-scan-n", "2",
+             "--output", "json"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == 0
