@@ -85,6 +85,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     if args.max_scan_n < 2:
         raise ValueError("--max-scan-n must be >= 2")
     if args.workers < 1:
@@ -130,6 +132,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # every suite must make checks; the fundamental families start at arity 3
+    for flag, least in (("n", 1), ("max_equiv_n", 1), ("fundamental_arity", 3)):
+        if getattr(args, flag) < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
     t_all = time.perf_counter()
     failures = []
 

@@ -72,12 +72,6 @@ class IndexSet:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
-def prec_chain(*sets) -> bool:
-    """True when every pair of nonempty sets, in order, is separated."""
-    nonempty = [s for s in sets if s]
-    return all(max(a) < min(b) for a, b in zip(nonempty, nonempty[1:]))
-
-
 # ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------

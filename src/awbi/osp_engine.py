@@ -27,7 +27,7 @@ multiplied over Z[v, v^-1].
 from __future__ import annotations
 
 from .pbw import Alphabet, Backend, exchange, term_dict as _d
-from .qcoeff import ONE, RatQ, lp, vpow
+from .qcoeff import ONE, rq, vpow
 
 # Packed factor layout: a- (10 bits) | a+ (10 bits) | k+2048 (12 bits) | p (1 bit).
 _KOFF = 2048
@@ -45,9 +45,9 @@ def _unpack(m):
 
 VH = vpow(1)                                    # q^(1/2)
 VHI = vpow(-1)                                  # q^(-1/2)
-SM = RatQ.from_poly(lp((1, 1), (-1, -1)))       # q^(1/2) - q^(-1/2)
-SP = RatQ.from_poly(lp((1, 1), (-1, 1)))        # q^(1/2) + q^(-1/2)
-QM = RatQ.from_poly(lp((2, 1), (-2, -1)))       # q - q^-1
+SM = rq((1, 1), (-1, -1))                       # q^(1/2) - q^(-1/2)
+SP = rq((1, 1), (-1, 1))                        # q^(1/2) + q^(-1/2)
+QM = rq((2, 1), (-2, -1))                       # q - q^-1
 SINV = ONE / SM
 
 

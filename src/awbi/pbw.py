@@ -17,11 +17,13 @@ backend's Lattice twin, where the presentation tables, every intermediate
 build state, generators and products all have Laurent polynomial
 coefficients, so neither construction nor the product loop meets a
 denominator.  Conversion to the published basis happens only at the edge:
-a finished generator, a residual or a printed side.  A product of two
-lattice elements runs on Kronecker-packed coefficients: each Laurent
-polynomial becomes one int, its value at v = 2^k, with the slot width k
-chosen per product from an l1 bound that no coefficient of the result or
-of any partial sum can reach, so unpacking is exact (Lattice.mul_terms).
+a finished generator, a residual or a printed side.  Every product in a
+lattice, its tables' included, runs on Kronecker-packed coefficients:
+each Laurent polynomial becomes one int, its value at v = 2^k, with the
+slot width k chosen per product from an l1 bound that no coefficient of
+the result or of any partial sum can reach, so unpacking is exact
+(Lattice.mul_terms); the published basis multiplies term by term
+(Backend.mul_terms).
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as words over a coideal alphabet (EdgeElem).  Interior legs
@@ -141,9 +143,30 @@ class Backend:
         return r
 
     def mul_terms(self, a, b):
-        """Product of two term dicts of this backend (see mul_terms); the
-        product behind AlgElem.__mul__."""
-        return mul_terms(self.mul_mono, a, b)
+        """Product of two term dicts keyed by equal-length tuples of factor
+        monomials, factor by factor under mul_mono; the parity generator
+        carries all sign information, so there are no cross-factor signs.
+        Lattice overrides this loop with its packed one."""
+        mul = self.mul_mono
+        out = {}
+        bterms = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in bterms:
+                parts = [((), c1 * c2)]
+                for x, y in zip(k1, k2):
+                    fr = mul(x, y)
+                    if len(fr) == 1:
+                        m, fc = fr[0]
+                        if fc.is_one():
+                            parts = [(k + (m,), cc) for k, cc in parts]
+                        else:
+                            parts = [(k + (m,), cc * fc) for k, cc in parts]
+                    else:
+                        parts = [(k + (m,), cc * fc)
+                                 for k, cc in parts for m, fc in fr]
+                for k, cc in parts:
+                    acc_term(out, k, cc)
+        return out
 
     def delta_mono(self, m):
         """Coproduct of a single-factor monomial as a tuple of
@@ -156,10 +179,10 @@ class Backend:
             for i, (e, g) in enumerate(zip(exps, self.gen_delta)):
                 if g is None and e:
                     x = self.pack(*(e if j == i else 0 for j in range(len(exps))))
-                    d = mul_terms(self.mul_mono, d, {(x, x): self.one})
+                    d = self.mul_terms(d, {(x, x): self.one})
                 elif g is not None:
                     for _ in range(e):
-                        d = mul_terms(self.mul_mono, d, g)
+                        d = self.mul_terms(d, g)
             r = tuple((a, b, c) for (a, b), c in d.items())
             self._delta_cache[m] = r
         return r
@@ -232,15 +255,15 @@ class Lattice(Backend):
     a single generator.  A coefficient that is not integral raises
     ValueError naming the backend and the monomial.
 
-    Products of elements (mul_terms) run on Kronecker-packed coefficients.
-    A coefficient c of valuation s becomes the int P = (c v^-s)(2^k), so
-    coefficient products and sums become int products and shifted int
-    sums.  The slot width k, a multiple of 32, is chosen per product with
-    2^(k-1) above the l1 bound W = l1(a) l1(b) prod_i F_i of
-    product_bound, which no coefficient of any partial sum can exceed;
-    the balanced base-2^k digits of each packed result are then exactly its
-    coefficients (the argument is in mul_terms).  The packed leg products
-    are cached per k, as mul_mono is.
+    Every product here, tables included, runs on Kronecker-packed
+    coefficients (mul_terms).  A coefficient c of valuation s becomes the
+    int P = (c v^-s)(2^k), so coefficient products and sums become int
+    products and shifted int sums.  The slot width k, a multiple of 32, is
+    chosen per product with 2^(k-1) above the l1 bound
+    W = l1(a) l1(b) prod_i F_i of product_bound, which no coefficient of
+    any partial sum can exceed; the balanced base-2^k digits of each
+    packed result are then exactly its coefficients (the argument is in
+    mul_terms).  The packed leg products are cached per k, as mul_mono is.
     """
 
     __slots__ = ("backend", "weights", "factor", "normaliser", "_weight",
@@ -354,7 +377,7 @@ class Lattice(Backend):
             key = (c, sum(map(self.weight, k)), degree)
             r = back.get(key)
             if r is None:
-                r = back[key] = RatQ.from_poly(c) * self._scale(key[1], -degree)
+                r = back[key] = RatQ(c) * self._scale(key[1], -degree)
             out[k] = r
         return AlgElem(self.backend, x.arity, out)
 
@@ -381,8 +404,9 @@ class Lattice(Backend):
 
     def mul_terms(self, a, b):
         """Product of two term dicts of Laurent polynomials, on
-        Kronecker-packed coefficients; the same result as
-        mul_terms(self.mul_mono, a, b).
+        Kronecker-packed coefficients: every product in the lattice,
+        tables included, runs here.  The result is that of the term-dict
+        loop, Backend.mul_terms(self, a, b).
 
         A coefficient c = sum_e c_e v^e is held as the pair (P, s), with s
         its valuation and P = sum_e c_e 2^(k(e - s)), that is c v^-s
@@ -519,32 +543,6 @@ def term_dict(*pairs):
 def _keyed(d):
     """Arity-1 term dict {mono: coeff} as a term dict on 1-tuple keys."""
     return {(m,): c for m, c in d.items()}
-
-
-def mul_terms(mul, a, b):
-    """Product of two term dicts keyed by equal-length tuples of factor
-    monomials.  Tensor factors multiply independently under the
-    single-factor product mul; the parity generator carries all sign
-    information, so there are no cross-factor signs."""
-    out = {}
-    bterms = b.items()
-    for k1, c1 in a.items():
-        for k2, c2 in bterms:
-            parts = [((), c1 * c2)]
-            for x, y in zip(k1, k2):
-                fr = mul(x, y)
-                if len(fr) == 1:
-                    m, fc = fr[0]
-                    if fc.is_one():
-                        parts = [(k + (m,), cc) for k, cc in parts]
-                    else:
-                        parts = [(k + (m,), cc * fc) for k, cc in parts]
-                else:
-                    parts = [(k + (m,), cc * fc)
-                             for k, cc in parts for m, fc in fr]
-            for k, cc in parts:
-                acc_term(out, k, cc)
-    return out
 
 
 def leg_coproduct(backend, terms, i):
@@ -845,7 +843,7 @@ def _word_pbw(backend, alpha: Alphabet, word):
     if d is None:
         d = {(backend.identity,): backend.one}
         for g in word:
-            d = mul_terms(backend.mul_mono, d, _keyed(alpha.pbw[g]))
+            d = backend.mul_terms(d, _keyed(alpha.pbw[g]))
         alpha._word_pbw_cache[word] = d
     return d
 
@@ -861,7 +859,7 @@ def _word_image(backend, alpha: Alphabet, table_name, word):
         for g in word:
             img = table[g]
             parts = [
-                (mul_terms(backend.mul_mono, u, _keyed(ug)), w + (g2,))
+                (backend.mul_terms(u, _keyed(ug)), w + (g2,))
                 for (u, w) in parts
                 for (ug, g2) in img
             ]

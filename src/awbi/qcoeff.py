@@ -310,8 +310,9 @@ class RatQ:
     content removed, den has valuation 0 and positive leading coefficient.
     Equality is then plain structural equality.  Every element with
     denominator 1 shares the one unit polynomial as its den, so sums and
-    products of polynomials skip the gcd.  Build elements with make or
-    from_poly; the constructor trusts its arguments.
+    products of polynomials skip the gcd.  Build elements with make, or
+    a polynomial p as RatQ(p), whose den defaults to that unit; the
+    constructor trusts its arguments.
     """
 
     __slots__ = ("num", "den")
@@ -326,10 +327,6 @@ class RatQ:
     def make(num: LaurentPoly, den: LaurentPoly) -> "RatQ":
         """num / den in canonical form."""
         return RatQ(*_reduce(num, den))
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RatQ":
-        return RatQ(p)
 
     # -- predicates ---------------------------------------------------------
 
@@ -496,4 +493,4 @@ def lp(*pairs) -> LaurentPoly:
 
 def rq(*pairs) -> RatQ:
     """Polynomial field element from (v-exp, coeff) pairs."""
-    return RatQ.from_poly(lp(*pairs))
+    return RatQ(lp(*pairs))

@@ -24,11 +24,16 @@ the counit on either copy undoes them.  So the residual at arity n is the
 compressed residual pushed through one coproduct per extra leg of each run
 and then padded: the same element, zero exactly when the compressed one
 is.
+
+The structural pattern reads the same word without its 00 letters, as a
+(10), b (01) and c (11): a pair has an admissible form exactly when its
+word matches that form's template, a*c*b*a*, b*a*c*b* or c*b*a*c*.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from .pbw import AlgElem, Backend, bracket_q
 from .qcoeff import ONE
 from . import extension
-from .extension import IndexSet, generator, prec_chain
+from .extension import IndexSet, generator
 
 
 def get_backend(name: str) -> Backend:
@@ -245,36 +250,30 @@ def check_comm(A, B, n, backend) -> RelationReport:
 
 # -- the structural pattern ------------------------------------------------------
 
-def _splits(rest):
-    """All prefix/suffix splits of a sorted tuple."""
-    for c in range(len(rest) + 1):
-        yield rest[:c], rest[c:]
+# per admissible form, its template with the groups A1, A2, A3, A4
+_TEMPLATES = tuple(map(re.compile, (
+    "(a*?)(c*)(b*)(a*)",            # form 1: A = A1|A2|A4, B = A2|A3
+    "(b*?)(a*)(c*)(b*)",            # form 2: A = A2|A3,    B = A1|A3|A4
+    "(c*?)(b*)(a*)(c*)",            # form 3: A = A1|A3|A4, B = A1|A2|A4
+)))
 
 
 def predict_pattern(A, B):
     """Decide whether (A, B) arises from an ordered quadruple
     A1 < A2 < A3 < A4 of separated (possibly empty) sets via one of the
-    three admissible forms; returns (bool, witness or None).
-
-    Form 1: A = A1|A2|A4, B = A2|A3;
-    Form 2: A = A2|A3,    B = A1|A3|A4;
-    Form 3: A = A1|A3|A4, B = A1|A2|A4.
-    In each form the constituents are forced by intersections and
-    differences, up to the prefix/suffix split of the leftover set.
-    """
-    A = tuple(sorted(set(A)))
-    B = tuple(sorted(set(B)))
-    inter, _, _, amb, bma = _setops(A, B)
-
-    for a1, a4 in _splits(amb):                     # form 1
-        if prec_chain(a1, inter, bma, a4):
-            return True, (1, (a1, inter, bma, a4))
-    for a1, a4 in _splits(bma):                     # form 2
-        if prec_chain(a1, amb, inter, a4):
-            return True, (2, (a1, amb, inter, a4))
-    for a1, a4 in _splits(inter):                   # form 3
-        if prec_chain(a1, bma, amb, a4):
-            return True, (3, (a1, bma, amb, a4))
+    three admissible forms: (True, (form, (A1, A2, A3, A4))) for the first
+    form whose template the pair's word matches, else (False, None).  Each
+    constituent is one letter class; of the class that occurs twice, the
+    lazy first group takes the shortest A1."""
+    sa, sb = set(A), set(B)
+    elems = sorted(sa | sb)
+    # a (A only) = 1, b (B only) = 2, c (both) = 3
+    word = "".join("-abc"[(e in sa) + 2 * (e in sb)] for e in elems)
+    for form, template in enumerate(_TEMPLATES, 1):
+        m = template.fullmatch(word)
+        if m:
+            return True, (form, tuple(tuple(elems[m.start(g):m.end(g)])
+                                      for g in range(1, 5)))
     return False, None
 
 

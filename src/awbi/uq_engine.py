@@ -21,7 +21,7 @@ and generators are built and multiplied over Z[v, v^-1].
 from __future__ import annotations
 
 from .pbw import Alphabet, Backend, exchange, term_dict as _d
-from .qcoeff import ONE, RatQ, lp, vpow
+from .qcoeff import ONE, rq, vpow
 
 # Packed factor layout: f (10 bits) | k+2048 (12 bits) | e (10 bits).
 _KOFF = 2048
@@ -40,8 +40,8 @@ def _unpack(m):
 # frequently used scalars, all in v = q^(1/2)
 Q1 = vpow(2)                                   # q
 QI = vpow(-2)                                  # q^-1
-QM = RatQ.from_poly(lp((2, 1), (-2, -1)))      # q - q^-1
-QP = RatQ.from_poly(lp((2, 1), (-2, 1)))       # q + q^-1
+QM = rq((2, 1), (-2, -1))                      # q - q^-1
+QP = rq((2, 1), (-2, 1))                       # q + q^-1
 QM2 = QM * QM                                  # (q - q^-1)^2
 DINV = ONE / QM                                # 1 / (q - q^-1)
 

@@ -149,7 +149,7 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
 
 def test_selftest_backend_prefix_selects_one_backend(capsys):
     code, out = run(capsys, "selftest", "--n", "2", "--max-equiv-n", "1",
-                    "--fundamental-arity", "2", "--backend", "bi")
+                    "--fundamental-arity", "3", "--backend", "bi")
     assert code == 0
     assert "[bi] selftest" in out and "[aw]" not in out
 
@@ -160,6 +160,41 @@ def test_config_validation(capsys):
     code, out = run(capsys, "scan", "--n", "2", "--workers", "1")
     assert code == 0
     assert "backend=aw" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scan", "--n", "-1"], "--n"),
+    (["scan", "--n", "0"], "--n"),
+    (["selftest", "--n", "0", "--backends", "aw"], "--n"),
+    (["selftest", "--max-equiv-n", "0", "--backends", "aw"], "--max-equiv-n"),
+    (["selftest", "--fundamental-arity", "2", "--backends", "aw"],
+     "--fundamental-arity"),
+])
+def test_vacuous_runs_are_rejected(capsys, argv, flag):
+    # a run whose suites would make no check must not report success
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be >= " in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "2", "--output", "json"],
+    ["check", "--A", "1,2", "--B", "1,3", "--n", "3", "--output", "json"],
+])
+def test_timing_adds_only_elapsed_ms(capsys, argv):
+    code, plain = run(capsys, *argv)
+    timed_code, timed = run(capsys, *argv, "--timing")
+    assert timed_code == code
+    plain, timed = plain.splitlines(), timed.splitlines()
+    if argv[0] == "scan":               # the summary carries elapsed_s anyway
+        assert plain[-1].startswith('{"summary"') and len(plain) == 17
+        plain, timed = plain[:-1], timed[:-1]
+    assert len(timed) == len(plain)
+    for line, want in zip(timed, plain):
+        obj = json.loads(line)
+        assert isinstance(obj.pop("elapsed_ms"), float)
+        assert json.dumps(obj, sort_keys=True) == want
 
 
 def test_scan_json_lines_do_not_depend_on_workers(capsys):

@@ -8,7 +8,7 @@ from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.extension import (IndexSet, MorphismPlan, build, derive_empty_scalar,
                             empty_generator, generator, make_plan, plan_derived,
-                            plan_left, plan_mixed, plan_right, prec_chain)
+                            plan_left, plan_mixed, plan_right)
 from awbi.pbw import AlgElem, bracket_q
 from awbi.qcoeff import ONE
 
@@ -32,16 +32,6 @@ def test_index_set_parse_and_intervals():
     with pytest.raises(ValueError, match="2-200000") as err:
         IndexSet.parse("2-200000", 3)
     assert len(str(err.value)) < 200
-
-
-def test_prec():
-    n = 9
-    a = IndexSet(n, (1, 2)).elements
-    b = IndexSet(n, (4, 7)).elements
-    assert prec_chain(a, b) and not prec_chain(b, a)
-    assert prec_chain((), a) and prec_chain(a, ())
-    assert prec_chain((1,), (), (2, 3), (5,))
-    assert not prec_chain((1, 4), (), (2, 3), ())
 
 
 def test_plan_shapes_for_worked_example():

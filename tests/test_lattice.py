@@ -82,7 +82,7 @@ def test_lattice_straightening_table_converts_back():
                     scale = ONE
                     for _ in range(w12 - weight(m)):
                         scale = scale * factor
-                    back[m] = RatQ.from_poly(c) / scale
+                    back[m] = RatQ(c) / scale
                 assert back == dict(backend.mul_mono(m1, m2)), (backend.name, m1, m2)
 
 

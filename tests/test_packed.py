@@ -1,5 +1,5 @@
 """Lattice products on Kronecker-packed coefficients: Lattice.mul_terms
-equals the term-dict product pbw.mul_terms on random and cancelling
+equals the term-dict product Backend.mul_terms on random and cancelling
 inputs, its slot width grows with the l1 bound across the 32-bit
 threshold, and its loop makes no LaurentPoly arithmetic."""
 
@@ -10,7 +10,7 @@ import pytest
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.extension import generator
-from awbi.pbw import mul_terms, slot_width
+from awbi.pbw import Backend, slot_width
 from awbi.qcoeff import LaurentPoly
 
 from test_golden import STRAIGHTENING
@@ -19,7 +19,7 @@ AW, BI = uq.AW, osp.BI
 
 
 def reference(lat, a, b):
-    return mul_terms(lat.mul_mono, a, b)
+    return Backend.mul_terms(lat, a, b)
 
 
 def random_poly(rng, spread=6, size=5):

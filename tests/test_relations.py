@@ -77,10 +77,24 @@ def test_theorem_pairs_contains_rank_one():
 
 def test_theorem_pairs_match_predict_pattern():
     # the pairs the quadruple forms generate are the pairs the scan's
-    # decider accepts
+    # decider accepts, and each accepted pair's witness is a separated
+    # quadruple whose form gives the pair back
+    unions = {1: ((0, 1, 3), (1, 2)), 2: ((1, 2), (0, 2, 3)),
+              3: ((0, 2, 3), (0, 1, 3))}      # per form, the parts of A and B
     for n, count in ((1, 4), (2, 16), (3, 61), (4, 214), (5, 694)):
-        accepted = {(A, B) for A in subsets(n) for B in subsets(n)
-                    if predict_pattern(A, B)[0]}
+        accepted = set()
+        for A in subsets(n):
+            for B in subsets(n):
+                ok, witness = predict_pattern(A, B)
+                if not ok:
+                    assert witness is None
+                    continue
+                accepted.add((A, B))
+                form, parts = witness
+                flat = sum(parts, ())
+                assert list(flat) == sorted(set(flat)), (A, B, witness)
+                for got, union in zip((A, B), unions[form]):
+                    assert tuple(sorted(sum((parts[i] for i in union), ()))) == got
         assert set(theorem_pairs(n)) == accepted, n
         assert len(accepted) == count, n
 
