@@ -23,9 +23,9 @@ from .relations import get_backend
 def cmd_build(args) -> int:
     backend = get_backend(args.backend)
     A = IndexSet.parse(args.set, args.n)
+    plan = make_plan(A, args.process)
     if not A.elements and args.process != "right":
         print("empty set: the generator is the scalar element", file=sys.stderr)
-    plan = None if not A.elements else make_plan(A, args.process)
     t0 = time.perf_counter()
     g = build(A, backend, plan)
     elapsed = time.perf_counter() - t0
@@ -136,6 +136,7 @@ def cmd_selftest(args) -> int:
     for flag, least in (("n", 1), ("max_equiv_n", 1), ("fundamental_arity", 3)):
         if getattr(args, flag) < least:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}")
+    backends = [get_backend(name.strip()) for name in args.backends.split(",")]
     t_all = time.perf_counter()
     failures = []
 
@@ -153,8 +154,7 @@ def cmd_selftest(args) -> int:
           f"{'ok' if not naxioms else f'FAIL ({naxioms})'}")
     if naxioms:
         failures.append("field-axioms")
-    for name in args.backends.split(","):
-        backend = get_backend(name.strip())
+    for backend in backends:
         print(f"[{backend.name}] selftest, seed={args.seed}")
         c = derive_empty_scalar(backend)
         ok = c == backend.casimir_counit

@@ -10,11 +10,21 @@ and pads with identity legs.  Every build runs in the backend's lattice
 basis is converted back once, when it is finished.
 
 Equality of the elements produced by different plans for the same set is a
-theorem (and a first-class test here), not an assumption.
+theorem (and a first-class test here), not an assumption.  It rests on one
+lemma: the coproduct on leg i, id^(i-1) (x) Delta (x) id^(n-i), sends the
+generator of every set to the generator of that set with leg i doubled.
+Two helpers state the lemma's bookkeeping once.  compress reads a pair of
+sets (A, B) as a word over the membership letters 00, 10, 01, 11 (leg i in
+A? in B?), merges each run of equal letters into one letter and strips 00
+at both ends; widen(runs) is the schedule of coproducts that doubles the
+legs back to their run lengths.  The derived order is the right process
+on the compressed set followed by widen (plan_derived), and the relation
+checks lift a compressed residual by the same schedule (relations).
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -157,40 +167,50 @@ def plan_mixed(A: IndexSet, j: int) -> MorphismPlan:
 def plan_derived(A: IndexSet) -> MorphismPlan:
     """Hole-first order: build the alternating set {1,3,...,2k-1} (one leg
     per interval, one hole between each), then enlarge all holes and
-    intervals with a fixed schedule of coproducts."""
-    a = _core(A)
-    ivs = IndexSet(a[-1], a).intervals()
-    k = len(ivs)
-    i_vec = [iv[0] for iv in ivs]
-    j_vec = [iv[1] for iv in ivs]
-    jk = j_vec[-1]
-    base = IndexSet(2 * k - 1, tuple(range(1, 2 * k, 2)))
-    steps = list(plan_right(base).steps)
-    for nn in range(2 * k - 2, -1, -1):
-        if nn % 2 == 0:
-            m = nn // 2 + 1
-            alpha = jk - j_vec[m - 1]
-            beta = jk - i_vec[m - 1] - 1
-        else:
-            m = (nn + 3) // 2
-            alpha = jk - i_vec[m - 1] + 1
-            beta = jk - j_vec[m - 2] - 2
-        for _ in range(alpha, beta + 1):
-            steps.append((DELTA, nn + 1))
-    return MorphismPlan(tuple(steps))
+    intervals to their lengths in A by coproducts (widen)."""
+    base, _, runs, _, _ = compress(A.elements, A.elements, A.n)
+    return MorphismPlan(plan_right(IndexSet(len(runs), base)).steps + widen(runs))
 
 
-def make_plan(A: IndexSet, process: str) -> MorphismPlan:
-    if process == "right":
-        return plan_right(A)
-    if process == "left":
-        return plan_left(A)
-    if process == "derived":
-        return plan_derived(A)
-    m = re.fullmatch(r"mixed:(\d+)", process)
-    if m:
+def compress(A, B, n):
+    """The compressed pair of (A, B) inside [1;n], as (A', B', runs, left,
+    right): runs holds the length of each run of equal membership letters
+    that survives, so the compressed arity is len(runs), and left and right
+    count the 00 legs stripped at each end.  A word of 00 letters only is
+    one run.  Elements outside [1;n] raise ValueError."""
+    sa, sb = set(IndexSet(n, A).elements), set(IndexSet(n, B).elements)
+    word = [(i in sa, i in sb) for i in range(1, n + 1)]
+    runs = [(x, len(list(g))) for x, g in itertools.groupby(word)]
+    left = right = 0
+    if len(runs) > 1 and runs[0][0] == (False, False):
+        left = runs.pop(0)[1]
+    if len(runs) > 1 and runs[-1][0] == (False, False):
+        right = runs.pop()[1]
+    return (tuple(j for j, ((a, _), _) in enumerate(runs, 1) if a),
+            tuple(j for j, ((_, b), _) in enumerate(runs, 1) if b),
+            tuple(size for _, size in runs), left, right)
+
+
+def widen(runs) -> tuple:
+    """The coproduct steps that widen leg j of an element of arity
+    len(runs) to runs[j-1] legs: leg j doubled runs[j-1] - 1 times, for j
+    from right to left, so the legs still to widen keep their positions."""
+    return tuple((DELTA, j) for j in range(len(runs), 0, -1)
+                 for _ in range(runs[j - 1] - 1))
+
+
+def make_plan(A: IndexSet, process: str) -> MorphismPlan | None:
+    """The plan of the named process for A: right, left, derived or
+    mixed:J.  An unknown name raises ValueError, for the empty set too,
+    which has no plan (None) under any process."""
+    m = re.fullmatch(r"right|left|derived|mixed:(\d+)", process)
+    if m is None:
+        raise ValueError(f"unknown process {process!r}")
+    if not A.elements:
+        return None
+    if m.group(1):
         return plan_mixed(A, int(m.group(1)))
-    raise ValueError(f"unknown process {process!r}")
+    return {"right": plan_right, "left": plan_left, "derived": plan_derived}[process](A)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,12 @@ class Backend:
     of every coideal letter.
     """
 
-    __slots__ = ("name", "field_names", "identity", "one", "pack", "unpack",
+    __slots__ = ("name", "field_names", "identity", "pack", "unpack",
                  "_mul_mono_raw", "gen_delta", "casimir", "casimir_counit",
                  "alphabets", "casimir_delta", "rescaling", "relation",
                  "_lattice", "_mul_cache", "_delta_cache")
+
+    one, zero = ONE, ZERO                       # of the coefficient ring
 
     def __init__(self, name, field_names, pack, unpack, mul_mono, gen_delta,
                  casimir, alphabets, casimir_delta, rescaling, relation):
@@ -108,9 +110,8 @@ class Backend:
         self._mul_cache = {}
         self._delta_cache = {}
         self.identity = pack(*([0] * len(field_names)))
-        self.one = ONE                          # unit of the coefficient ring
-        # RatQ scalar, also the empty-set value
-        self.casimir_counit = ZERO
+        # a ring scalar, also the empty-set value
+        self.casimir_counit = self.zero
         for m, c in casimir.items():
             if self.counit_mono(m):
                 self.casimir_counit = self.casimir_counit + c
@@ -246,14 +247,17 @@ class Lattice(Backend):
     product of two generators is normaliser^2 times the published product.
     The presentation is converted once from the backend's through rescale:
     a field's generator coproduct by factor^(its weight), a letter c*m by
-    factor^w(m), and the Casimir letter by the normaliser.  The
-    straightening is the backend's own, run with a rescaled exchange
-    constant: the weighted fields are the exchanged pair and the factor is
-    the inverse of the published constant, so each exchange step, which
-    lowers both fields by one, contributes factor^(sum of weights - 1).
-    The relation scalars are (w * normaliser, s, plus, minus), as w scales
-    a single generator.  A coefficient that is not integral raises
-    ValueError naming the backend and the monomial.
+    factor^w(m), and the Casimir letter by the normaliser.  The lattice is
+    then built by Backend.__init__ from that presentation, so its
+    letter-coproduct tables and Casimir counit are derived in its own ring,
+    through its own products, like any backend's.  The straightening is the
+    backend's own, run with a rescaled exchange constant: the weighted
+    fields are the exchanged pair and the factor is the inverse of the
+    published constant, so each exchange step, which lowers both fields by
+    one, contributes factor^(sum of weights - 1).  The relation scalars
+    are (w * normaliser, s, plus, minus), as w scales a single generator.
+    A coefficient that is not integral raises ValueError naming the
+    backend and the monomial.
 
     Every product here, tables included, runs on Kronecker-packed
     coefficients (mul_terms).  A coefficient c of valuation s becomes the
@@ -269,45 +273,42 @@ class Lattice(Backend):
     __slots__ = ("backend", "weights", "factor", "normaliser", "_weight",
                  "_scales", "_back", "_leg_l1", "_packed")
 
+    one, zero = LaurentPoly.mono(0), LaurentPoly.zero()
+
     def __init__(self, backend):
         self.backend = backend
-        self.name = f"{backend.name}-lattice"
-        self.field_names, self.pack, self.unpack = (
-            backend.field_names, backend.pack, backend.unpack)
-        self.identity = backend.identity
-        self.one = LaurentPoly.mono(0)
         self.weights, self.factor, self.normaliser = backend.rescaling
-        self._lattice = self
         self._weight = {}       # mono -> w(mono)
         self._scales = {}       # (w, d) -> factor^w * normaliser^d
         self._back = {}         # (LaurentPoly, w, degree) -> published coefficient
         self._leg_l1 = {}       # (m1, m2) -> sum of l1 norms over mul_mono(m1, m2)
         self._packed = {}       # k -> {(m1, m2): ((m, P, s), ...)}
-        self._mul_cache = {}
-        self._delta_cache = {}
         raw, den = backend._mul_mono_raw, self._scale(sum(self.weights) - 1, 0)
-        self._mul_mono_raw = lambda m1, m2: tuple(
-            (m, self.integral(c, (m,))) for m, c in raw(m1, m2, den))
-        self.gen_delta = tuple(
-            None if g is None else {k: self.rescale(c, k, w) for k, c in g.items()}
-            for g, w in zip(backend.gen_delta, self.weights))
-        self.casimir = {m: self.rescale(c, (m,), 0, 1)
-                        for m, c in backend.casimir.items()}
-        self.casimir_counit = self.rescale(backend.casimir_counit, (), 0, 1)
-        self.alphabets, scales = {}, {}
+        alphabets, scales = {}, {}
         for side, alpha in backend.alphabets.items():
-            self.alphabets[side], scales[side] = self._alphabet(alpha)
-        rows = []
+            alphabets[side], scales[side] = self._alphabet(alpha)
+        casimir_delta = []
         for gl, gr, c in backend.casimir_delta:
             (wl, dl), (wr, dr) = scales["L"][gl], scales["R"][gr]
-            rows.append((gl, gr, self.rescale(c, (), -wl - wr, 1 - dl - dr)))
-        self.casimir_delta = tuple(rows)
+            casimir_delta.append((gl, gr, self.rescale(c, (), -wl - wr, 1 - dl - dr)))
         w, *rest = backend.relation
-        self.relation = tuple(map(self.integral, (w * self.normaliser, *rest)))
+        super().__init__(
+            f"{backend.name}-lattice", backend.field_names, backend.pack,
+            backend.unpack,
+            lambda m1, m2: tuple((m, self.integral(c, (m,)))
+                                 for m, c in raw(m1, m2, den)),
+            tuple(None if g is None else
+                  {k: self.rescale(c, k, x) for k, c in g.items()}
+                  for g, x in zip(backend.gen_delta, self.weights)),
+            {m: self.rescale(c, (m,), 0, 1) for m, c in backend.casimir.items()},
+            alphabets, tuple(casimir_delta), backend.rescaling,
+            tuple(map(self.integral, (w * self.normaliser, *rest))))
+        self._lattice = self
 
     def _alphabet(self, alpha):
-        """alpha converted, and the scale (w, d) of each of its letters in
-        the lattice: factor^w * normaliser^d."""
+        """alpha's letters and coaction table converted, and the scale
+        (w, d) of each of its letters in the lattice: factor^w *
+        normaliser^d."""
         scale = {}
         for g in alpha.letters:
             if alpha.pbw[g] == self.backend.casimir:
@@ -319,23 +320,19 @@ class Lattice(Backend):
         def convert(terms, w, d):
             return {m: self.rescale(c, (m,), w, d) for m, c in terms.items()}
 
-        def rows(table):
-            return {g: tuple((convert(u, w - scale[g2][0], d - scale[g2][1]), g2)
-                             for u, g2 in table[g])
-                    for g, (w, d) in scale.items()}
-
-        out = Alphabet(alpha.side, alpha.letters,
-                       {g: convert(alpha.pbw[g], w, d) for g, (w, d) in scale.items()},
-                       rows(alpha.tau))
-        out.delta = rows(alpha.delta)
-        return out, scale
+        tau = {g: tuple((convert(u, w - scale[g2][0], d - scale[g2][1]), g2)
+                        for u, g2 in alpha.tau[g])
+               for g, (w, d) in scale.items()}
+        return Alphabet(alpha.side, alpha.letters,
+                        {g: convert(alpha.pbw[g], w, d) for g, (w, d) in scale.items()},
+                        tau), scale
 
     def weight(self, m):
         """w(m), memoised."""
         w = self._weight.get(m)
         if w is None:
             w = self._weight[m] = sum(
-                x * e for x, e in zip(self.weights, self.unpack(m)))
+                x * e for x, e in zip(self.weights, self.backend.unpack(m)))
         return w
 
     def _scale(self, w, d):
@@ -353,7 +350,7 @@ class Lattice(Backend):
         """The Laurent polynomial c, which must have denominator 1; key
         names the tensor monomial c belongs to."""
         if not c.den.is_one():
-            mono = " x ".join(map(self.mono_pretty, key)) or "scalar"
+            mono = " x ".join(map(self.backend.mono_pretty, key)) or "scalar"
             raise ValueError(f"{self.backend.name}: coefficient {c.pretty()} "
                              f"of [{mono}] is not integral in the lattice")
         return c.num

@@ -178,6 +178,9 @@ class LaurentPoly:
                 out[i + sv - gv] = c
         return LaurentPoly(out, _trusted=True)
 
+    # exact division, so the field's code for letter tables runs here too
+    __truediv__ = divexact
+
     def __repr__(self):
         return f"LaurentPoly({self.pretty()})"
 

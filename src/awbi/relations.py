@@ -9,21 +9,18 @@ relations go through one routine that multiplies generators built in the
 backend's lattice (pbw.Lattice), over Z[v, v^-1]; only the residual and
 the sides handed to callers are converted back to the published basis.
 
-That routine decides each pair at its compressed arity.  Read a pair
-(A, B) of subsets of [1;n] as a word over the letters 00, 10, 01, 11
-(leg i in A? in B?), merge each run of equal letters into one letter and
-strip the 00 letters at both ends.  Every set a relation uses (A, B, their
+That routine decides each pair at its compressed arity
+(extension.compress): every set a relation uses (A, B, their
 intersection, union, symmetric difference and both differences) is a
 union of letter classes, so it is the compressed pair's set with each run
-widened back and the stripped legs restored.  The coproduct on a leg,
-id^(i-1) (x) Delta (x) id^(n-i), is an algebra morphism that sends each
-generator to the generator with that leg doubled (the equivalence of
-construction orders that plan_derived rests on), and padding with
-identity legs sends it to the same set shifted; both are injective, since
-the counit on either copy undoes them.  So the residual at arity n is the
-compressed residual pushed through one coproduct per extra leg of each run
-and then padded: the same element, zero exactly when the compressed one
-is.
+widened back and the stripped legs restored.  By the leg-doubling lemma
+stated in extension, each coproduct of the widening schedule
+(extension.widen, the same schedule the derived construction order ends
+with) is an algebra morphism sending each generator to the generator with
+that leg doubled, and padding with identity legs sends it to the same set
+shifted; both are injective, since the counit on either copy undoes them.
+So the residual at arity n is the compressed residual widened and then
+padded: the same element, zero exactly when the compressed one is.
 
 The structural pattern reads the same word without its 00 letters, as a
 (10), b (01) and c (11): a pair has an admissible form exactly when its
@@ -35,13 +32,12 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .pbw import AlgElem, Backend, bracket_q
 from .qcoeff import ONE
 from . import extension
-from .extension import IndexSet, generator
+from .extension import generator
 
 
 def get_backend(name: str) -> Backend:
@@ -175,40 +171,12 @@ def comm_sides(A, B, n, backend):
     return _sides("comm", A, B, n, backend)
 
 
-def _compress(A, B, n):
-    """The compressed pair of (A, B) inside [1;n], as (A', B', runs, left,
-    right): runs holds the length of each run of equal membership letters
-    that survives, so the compressed arity is len(runs), and left and right
-    count the 00 legs stripped at each end.  A word of 00 letters only is
-    one run.  Elements outside [1;n] raise ValueError."""
-    sa, sb = set(IndexSet(n, A).elements), set(IndexSet(n, B).elements)
-    word = [(i in sa, i in sb) for i in range(1, n + 1)]
-    runs = [(x, len(list(g))) for x, g in itertools.groupby(word)]
-    left = right = 0
-    if len(runs) > 1 and runs[0][0] == (False, False):
-        left = runs.pop(0)[1]
-    if len(runs) > 1 and runs[-1][0] == (False, False):
-        right = runs.pop()[1]
-    return (tuple(j for j, ((a, _), _) in enumerate(runs, 1) if a),
-            tuple(j for j, ((_, b), _) in enumerate(runs, 1) if b),
-            tuple(size for _, size in runs), left, right)
-
-
-def _lift(x: AlgElem, runs, left, right) -> AlgElem:
-    """x with leg j widened to runs[j-1] legs by coproducts, right to left
-    so the legs still to widen keep their positions, then padded."""
-    for j in range(len(runs), 0, -1):
-        for _ in range(runs[j - 1] - 1):
-            x = x.coproduct(j)
-    return x.pad(left, right)
-
-
 def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     """lhs - rhs of the relation in the lattice, decided at the compressed
     arity and lifted back to n (see the module docstring).  A pair that
     does not compress goes through _lattice_sides directly; the residual
     of a compressed pair that stands for longer ones is cached."""
-    A2, B2, runs, left, right = _compress(A, B, n)
+    A2, B2, runs, left, right = extension.compress(A, B, n)
     m = len(runs)
     if m == n:
         lhs, rhs = _lattice_sides(relation, A, B, n, backend)
@@ -218,7 +186,9 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     if r is None:
         lhs, rhs = _lattice_sides(relation, A2, B2, m, backend)
         r = _RESIDUAL_CACHE[key] = lhs - rhs
-    return _lift(r, runs, left, right)
+    for _, j in extension.widen(runs):
+        r = r.coproduct(j)
+    return r.pad(left, right)
 
 
 def _check(relation, A, B, n, backend) -> RelationReport:
@@ -516,12 +486,6 @@ def _scan_pair(backend, n, A, B) -> RelationReport:
     return rep
 
 
-def _scan_chunk(args):
-    backend_name, n, pairs = args
-    backend = get_backend(backend_name)
-    return [_scan_pair(backend, n, A, B) for A, B in pairs]
-
-
 def _scan_reports(n, backend, workers):
     """The reports of every ordered pair, yielded in pair order.  With
     several workers the pairs go out in contiguous chunks, a few per
@@ -532,12 +496,12 @@ def _scan_reports(n, backend, workers):
         for A, B in pairs:
             yield _scan_pair(backend, n, A, B)
         return
-    size = -(-len(pairs) // (4 * workers))
-    chunks = [(backend.name, n, pairs[i:i + size])
-              for i in range(0, len(pairs), size)]
+    # imported here, so a serial run never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_chunk, chunks):
-            yield from part
+        yield from pool.map(_scan_pair, itertools.repeat(backend),
+                            itertools.repeat(n), *zip(*pairs),
+                            chunksize=-(-len(pairs) // (4 * workers)))
 
 
 def scan(n, backend, workers=1, progress=None):

@@ -265,3 +265,34 @@ def test_scan_into_closed_pipe_exits_quietly():
         os.close(w)
     assert b"Traceback" not in proc.stderr, proc.stderr.decode()
     assert proc.returncode == 0
+
+
+def test_build_empty_set_rejects_unknown_process(capsys):
+    assert main(["build", "--set", "", "--n", "3", "--process", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unknown process 'bogus'" in captured.err
+
+
+def test_selftest_resolves_every_backend_before_running(capsys):
+    assert main(["selftest", "--n", "1", "--max-equiv-n", "1",
+                 "--fundamental-arity", "3", "--backends", "aw,"]) == 2
+    captured = capsys.readouterr()
+    assert "[aw] selftest" not in captured.out
+    assert "error: unknown backend ''" in captured.err
+
+
+def test_serial_run_does_not_import_the_process_pool():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, awbi.cli\n"
+            "from awbi.relations import get_backend\n"
+            "for name in ('aw', 'bi'):\n"
+            "    get_backend(name).lattice\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -5,8 +5,8 @@ import pytest
 
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
-from awbi.extension import generator
-from awbi.relations import _check, _compress, _lattice_sides, subsets
+from awbi.extension import compress, generator
+from awbi.relations import _check, _lattice_sides, subsets
 
 AW, BI = uq.AW, osp.BI
 
@@ -38,17 +38,17 @@ def test_coproduct_doubles_a_leg_of_every_lattice_generator(backend):
 
 def test_compress_cases():
     # the all-empty pair is one 00 run
-    assert _compress((), (), 4) == ((), (), (4,), 0, 0)
+    assert compress((), (), 4) == ((), (), (4,), 0, 0)
     # (empty, [1;n]) is one 01 run
-    assert _compress((), (1, 2, 3, 4), 4) == ((), (1,), (4,), 0, 0)
+    assert compress((), (1, 2, 3, 4), 4) == ((), (1,), (4,), 0, 0)
     # an interior 00 run stays, as one letter
-    assert _compress((1, 5), (1, 4, 5), 5) == ((1, 4), (1, 3, 4), (1, 2, 1, 1), 0, 0)
+    assert compress((1, 5), (1, 4, 5), 5) == ((1, 4), (1, 3, 4), (1, 2, 1, 1), 0, 0)
     # 00 legs at both ends are stripped and counted
-    assert _compress((2, 3), (3, 4), 6) == ((1, 2), (2, 3), (1, 1, 1), 1, 2)
+    assert compress((2, 3), (3, 4), 6) == ((1, 2), (2, 3), (1, 1, 1), 1, 2)
     # an irreducible pair maps to itself
-    assert _compress((1, 3), (2, 3), 3) == ((1, 3), (2, 3), (1, 1, 1), 0, 0)
+    assert compress((1, 3), (2, 3), 3) == ((1, 3), (2, 3), (1, 1, 1), 0, 0)
     with pytest.raises(ValueError, match="out of range"):
-        _compress((1, 5), (), 4)
+        compress((1, 5), (), 4)
 
 
 def _direct_residual(relation, A, B, n, backend):
@@ -91,6 +91,6 @@ def test_residuals_lifted_through_several_runs_n5(backend):
         for runs, left in (((2, 2, 1), 0), ((2, 1, 2), 0), ((1, 2, 2), 0),
                            ((2, 1, 1), 1)):
             A5, B5 = _widen(A, runs, left), _widen(B, runs, left)
-            assert _compress(A5, B5, 5) == (A, B, runs, left, 5 - left - sum(runs))
+            assert compress(A5, B5, 5) == (A, B, runs, left, 5 - left - sum(runs))
             assert not _direct_residual("star", A5, B5, 5, backend).is_zero()
             _direct_residual("comm", A5, B5, 5, backend)

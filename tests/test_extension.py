@@ -77,6 +77,43 @@ def test_derived_plan_pure_interval_is_coproduct_chain():
     assert build(A, AW, p) == build(A, AW, plan_right(A))
 
 
+def _hole_first_schedule(A):
+    """The derived order as the paper writes it, by interval arithmetic:
+    the right process on the alternating set {1, 3, ..., 2k-1}, then for
+    nn = 2k-2 down to 0 the coproducts on leg nn + 1 that enlarge the
+    interval (nn even) or the hole (nn odd) it stands for."""
+    a = tuple(x - A.elements[0] + 1 for x in A.elements)
+    ivs = IndexSet(a[-1], a).intervals()
+    k = len(ivs)
+    i_vec = [iv[0] for iv in ivs]
+    j_vec = [iv[1] for iv in ivs]
+    jk = j_vec[-1]
+    steps = list(plan_right(IndexSet(2 * k - 1, tuple(range(1, 2 * k, 2)))).steps)
+    for nn in range(2 * k - 2, -1, -1):
+        if nn % 2 == 0:
+            m = nn // 2 + 1
+            alpha = jk - j_vec[m - 1]
+            beta = jk - i_vec[m - 1] - 1
+        else:
+            m = (nn + 3) // 2
+            alpha = jk - i_vec[m - 1] + 1
+            beta = jk - j_vec[m - 2] - 2
+        for _ in range(alpha, beta + 1):
+            steps.append(("Delta", nn + 1))
+    return tuple(steps)
+
+
+def test_derived_plan_is_the_hole_first_schedule():
+    count = 0
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            for elems in itertools.combinations(range(1, n + 1), r):
+                A = IndexSet(n, elems)
+                assert plan_derived(A).steps == _hole_first_schedule(A), elems
+                count += 1
+    assert count == 502
+
+
 def test_build_singleton_and_empty():
     n = 3
     g = build(IndexSet(n, (2,)), AW)
@@ -170,6 +207,10 @@ def test_make_plan_dispatch():
     assert make_plan(A, "derived") == plan_derived(A)
     with pytest.raises(ValueError):
         make_plan(A, "sideways")
+    # the empty set has no plan, but its process name is still checked
+    assert make_plan(IndexSet(4, ()), "derived") is None
+    with pytest.raises(ValueError, match="unknown process 'sideways'"):
+        make_plan(IndexSet(4, ()), "sideways")
 
 
 def test_empty_scalar_derivations():

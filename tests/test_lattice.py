@@ -86,6 +86,29 @@ def test_lattice_straightening_table_converts_back():
                 assert back == dict(backend.mul_mono(m1, m2)), (backend.name, m1, m2)
 
 
+@pytest.mark.parametrize("backend", [AW, BI], ids=["aw", "bi"])
+def test_lattice_derives_the_published_tables_rescaled(backend):
+    # the lattice derives its letter coproducts and Casimir counit in its
+    # own ring; they are the published ones rescaled: each row by the
+    # ratio of its letters' scales, the counit by the normaliser
+    lat = backend.lattice
+    for side, alpha in backend.alphabets.items():
+        scale = {}                      # letter -> (w, d): factor^w normaliser^d
+        for g in alpha.letters:
+            if alpha.pbw[g] == backend.casimir:
+                scale[g] = (0, 1)
+            else:
+                (m, _), = alpha.pbw[g].items()
+                scale[g] = (lat.weight(m), 0)
+        for g, (w, d) in scale.items():
+            want = tuple(({m: lat.rescale(c, (m,), w - scale[g2][0], d - scale[g2][1])
+                           for m, c in u.items()}, g2)
+                         for u, g2 in alpha.delta[g])
+            assert lat.alphabets[side].delta[g] == want, (side, g)
+    assert isinstance(lat.casimir_counit, LaurentPoly)
+    assert lat.casimir_counit == lat.integral(backend.casimir_counit * lat.normaliser)
+
+
 @pytest.mark.parametrize("backend, exps, coeff, mono", [
     (AW, (0, 0, 1), ONE, "E"),          # lattice coefficient 1/(q - q^-1)
     (AW, (0, 0, 0), uq.DINV, "1"),      # DINV times the identity
