@@ -8,27 +8,27 @@ three-leg element.  That identity is what makes the ascending and
 descending constructions interchangeable.
 """
 
-from awbi.pbw import CoidealWord, EdgeElem
+from awbi.pbw import EdgeElem
 from awbi.uq_engine import AW
 
 print("right coaction on the alphabet letters:")
 for g in AW.alphabets["R"].letters:
-    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", g)).tau_r().finalize()
+    t = EdgeElem.letter(AW, "R", g).tau_r().finalize()
     print(f"  tau_R({g}) has {t.term_count()} terms")
 
 print("\ncomodule axioms, letter by letter:")
 for g in AW.alphabets["R"].letters:
-    w = CoidealWord.letter(AW, "R", g)
-    t = EdgeElem.from_word(w).tau_r()
+    x = EdgeElem.letter(AW, "R", g)
+    t = x.tau_r()
     coassoc = t.tau_r().finalize() == t.delta_mid(1).finalize()
-    counit = t.counit_mid(1).finalize() == w.expand()
+    counit = t.counit_mid(1).finalize() == x.finalize()
     print(f"  {g}: (1 x tau)tau == (Delta x 1)tau: {coassoc}, "
           f"(eps x 1)tau == id: {counit}")
 
 seed = EdgeElem.casimir_delta(AW)
 print("\nCasimir coproduct, with both legs kept in the coideal alphabets:")
-for (lw, rw), c in seed.terms.items():
-    print(f"  {'.'.join(lw)} (x) {'.'.join(rw)}   coeff {c.pretty()}")
+for (gl, gr), c in seed.terms.items():
+    print(f"  {gl} (x) {gr}   coeff {c.pretty()}")
 
 lhs = seed.tau_r().finalize()
 rhs = seed.tau_l().finalize()

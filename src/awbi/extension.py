@@ -4,7 +4,7 @@ right, left, mixed and derived-order extension processes.
 A plan is explicit data: the ordered list of morphism applications
 (coproduct or coaction, with the target leg at application time).  Building
 executes a plan starting from the backend Casimir, keeping the edge legs as
-coideal words for as long as coactions may still hit them, then normalizes
+coideal letters for as long as coactions may still hit them, then normalizes
 and pads with identity legs.  Every build runs in the backend's lattice
 (pbw.Lattice), over Z[v, v^-1]; a generator asked for in the published
 basis is converted back once, when it is finished.
@@ -218,7 +218,7 @@ def make_plan(A: IndexSet, process: str) -> MorphismPlan | None:
 # ---------------------------------------------------------------------------
 
 def _execute(backend: Backend, plan: MorphismPlan) -> AlgElem:
-    """Run a plan on the backend Casimir.  Edge coactions act on word legs;
+    """Run a plan on the backend Casimir.  Edge coactions act on letter legs;
     once a coproduct hits an interior leg the element is normalized for
     good and only further coproducts are allowed."""
     state = None

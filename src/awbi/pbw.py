@@ -2,8 +2,8 @@
 exchange that straightens both, the Hopf structure on monomials derived
 from each backend's generator table, the coproducts of the coideal
 letters derived from it, the rescaled lattice basis that generators are
-built and multiplied in, normal-form tensor elements, coideal edge words,
-and the build state that the extension processes act on.
+built and multiplied in, normal-form tensor elements, and the build state
+that the extension processes act on, whose edge legs are coideal letters.
 
 An AlgElem is a linear combination of length-n tensor monomials in a fixed
 normal order, with coefficients in its backend's ring: the field Q(v) in
@@ -26,8 +26,10 @@ the result or of any partial sum can reach, so unpacking is exact
 (Backend.mul_terms).
 
 Coactions are only ever applied to edge legs that are still stored
-symbolically as words over a coideal alphabet (EdgeElem).  Interior legs
-are permanently in normal form; asking for a coaction there raises.
+symbolically as letters of a coideal alphabet (EdgeElem).  Every row of a
+letter's coaction or coproduct table keeps one letter, so an edge leg stays
+a single letter through any number of them.  Interior legs are permanently
+in normal form; asking for a coaction there raises.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .qcoeff import ONE, ZERO, LaurentPoly, RatQ, vpow
 
 
 class CoactionError(Exception):
-    """A coaction was requested on a leg that is not a coideal word."""
+    """A coaction was requested on a leg that is not a coideal letter."""
 
 
 class Alphabet:
@@ -55,8 +57,7 @@ class Alphabet:
         the Backend from the monomial coproducts.
     """
 
-    __slots__ = ("side", "letters", "pbw", "tau", "delta",
-                 "_word_pbw_cache", "_word_img_cache")
+    __slots__ = ("side", "letters", "pbw", "tau", "delta")
 
     def __init__(self, side, letters, pbw, tau):
         self.side = side
@@ -64,8 +65,6 @@ class Alphabet:
         self.pbw = pbw
         self.tau = tau
         self.delta = None
-        self._word_pbw_cache = {}
-        self._word_img_cache = {}
 
 
 class Backend:
@@ -626,8 +625,13 @@ class AlgElem:
         return AlgElem(backend, arity, {(backend.identity,) * arity: c})
 
     @staticmethod
-    def mono(backend, exps, coeff=ONE):
-        """Arity-1 element coeff times the monomial with field exponents exps."""
+    def mono(backend, exps, coeff=None):
+        """Arity-1 element coeff (default: the ring's one) times the
+        monomial with field exponents exps."""
+        if coeff is None:
+            coeff = backend.one
+        if coeff.is_zero():
+            return AlgElem.zero(backend, 1)
         return AlgElem(backend, 1, {(backend.pack(*exps),): coeff})
 
     @staticmethod
@@ -775,106 +779,17 @@ def bracket_q(x: AlgElem, y: AlgElem, plus: RatQ, minus: RatQ) -> AlgElem:
 
 
 # ---------------------------------------------------------------------------
-# CoidealWord
-# ---------------------------------------------------------------------------
-
-class CoidealWord:
-    """Linear combination of finite words over one coideal alphabet.
-
-    Words multiply by concatenation; expand() substitutes each letter's
-    normal form and multiplies out, giving the arity-1 element the word
-    combination represents.
-    """
-
-    __slots__ = ("backend", "side", "terms")
-
-    def __init__(self, backend, side, terms):
-        self.backend = backend
-        self.side = side
-        self.terms = terms  # {word tuple: coeff}
-
-    @staticmethod
-    def letter(backend, side, name):
-        if name not in backend.alphabets[side].letters:
-            raise ValueError(f"{name} is not a side-{side} letter")
-        return CoidealWord(backend, side, {(name,): backend.one})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc_term(out, w, c)
-        return CoidealWord(self.backend, self.side, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc_term(out, w, -c)
-        return CoidealWord(self.backend, self.side, out)
-
-    def scale(self, c):
-        return CoidealWord(self.backend, self.side,
-                           {w: x * c for w, x in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                acc_term(out, w1 + w2, c1 * c2)
-        return CoidealWord(self.backend, self.side, out)
-
-    def expand(self) -> AlgElem:
-        alpha = self.backend.alphabets[self.side]
-        out = {}
-        for w, c in self.terms.items():
-            for k, x in _word_pbw(self.backend, alpha, w).items():
-                acc_term(out, k, c * x)
-        return AlgElem(self.backend, 1, out)
-
-    def __repr__(self):
-        return f"CoidealWord({self.backend.name}/{self.side}, {self.terms})"
-
-
-def _word_pbw(backend, alpha: Alphabet, word):
-    """Normal form of a word, keyed by 1-tuples."""
-    d = alpha._word_pbw_cache.get(word)
-    if d is None:
-        d = {(backend.identity,): backend.one}
-        for g in word:
-            d = backend.mul_terms(d, _keyed(alpha.pbw[g]))
-        alpha._word_pbw_cache[word] = d
-    return d
-
-
-def _word_image(backend, alpha: Alphabet, table_name, word):
-    """Image of a word under the coaction or coproduct table, multiplied
-    out: list of (ambient term dict on 1-tuple keys, retained word)."""
-    key = (table_name, word)
-    r = alpha._word_img_cache.get(key)
-    if r is None:
-        table = alpha.tau if table_name == "tau" else alpha.delta
-        parts = [({(backend.identity,): backend.one}, ())]
-        for g in word:
-            img = table[g]
-            parts = [
-                (backend.mul_terms(u, _keyed(ug)), w + (g2,))
-                for (u, w) in parts
-                for (ug, g2) in img
-            ]
-        r = tuple(parts)
-        alpha._word_img_cache[key] = r
-    return r
-
-
-# ---------------------------------------------------------------------------
 # EdgeElem: build state with symbolic edge legs
 # ---------------------------------------------------------------------------
 
 class EdgeElem:
-    """Tensor element whose outer legs may still be coideal words.
+    """Tensor element whose outer legs may still be coideal letters.
 
-    Keys are flat tuples of legs: the first leg is a word tuple when has_l,
-    the last one is a word tuple when has_r, and every other leg is a
-    packed monomial in normal form.  The flags are uniform over all terms.
+    Keys are flat tuples of legs: the first leg is a side-L letter name when
+    has_l, the last one is a side-R letter name when has_r, and every other
+    leg is a packed monomial in normal form.  The flags are uniform over all
+    terms.  Each row of a letter's coaction or coproduct table keeps one
+    letter, so the edge legs never become longer words.
     """
 
     __slots__ = ("backend", "has_l", "has_r", "terms")
@@ -899,22 +814,23 @@ class EdgeElem:
         is the seed every multi-element construction starts from."""
         terms = {}
         for gl, gr, c in backend.casimir_delta:
-            acc_term(terms, ((gl,), (gr,)), c)
+            acc_term(terms, (gl, gr), c)
         return EdgeElem(backend, True, True, terms)
 
     @staticmethod
-    def from_word(word: CoidealWord) -> "EdgeElem":
-        terms = {(w,): c for w, c in word.terms.items()}
-        if word.side == "R":
-            return EdgeElem(word.backend, False, True, terms)
-        return EdgeElem(word.backend, True, False, terms)
+    def letter(backend, side, name) -> "EdgeElem":
+        """The letter name of the side-R or side-L alphabet as a one-leg
+        element, its leg kept symbolic."""
+        if name not in backend.alphabets[side].letters:
+            raise ValueError(f"{name} is not a side-{side} letter")
+        return EdgeElem(backend, side == "L", side == "R", {(name,): backend.one})
 
     # -- coactions and coproducts on edges --------------------------------------
 
     def tau_r(self) -> "EdgeElem":
-        """Apply the right coaction to the rightmost leg (must be a word);
+        """Apply the right coaction to the rightmost leg (must be a letter);
         the ambient new leg goes into normal form, the retained leg stays
-        a word.  Arity grows by one."""
+        a letter.  Arity grows by one."""
         if not self.has_r:
             raise CoactionError("rightmost leg is already in normal form")
         return self._edge_apply("R", "tau")
@@ -938,16 +854,15 @@ class EdgeElem:
         return self._edge_apply("L", "delta")
 
     def _edge_apply(self, side, table_name):
-        backend = self.backend
-        alpha = backend.alphabets[side]
+        table = getattr(self.backend.alphabets[side], table_name)
         out = {}
         for k, c in self.terms.items():
-            rest, w = (k[:-1], k[-1]) if side == "R" else (k[1:], k[0])
-            for (u, w2) in _word_image(backend, alpha, table_name, w):
+            rest, g = (k[:-1], k[-1]) if side == "R" else (k[1:], k[0])
+            for u, g2 in table[g]:
                 for m, cu in u.items():
-                    key = rest + m + (w2,) if side == "R" else (w2,) + m + rest
+                    key = rest + (m, g2) if side == "R" else (g2, m) + rest
                     acc_term(out, key, c * cu)
-        return EdgeElem(backend, self.has_l, self.has_r, out)
+        return EdgeElem(self.backend, self.has_l, self.has_r, out)
 
     # -- operations on interior (normal-form) legs ------------------------------
 
@@ -969,17 +884,18 @@ class EdgeElem:
     # -- finalization ------------------------------------------------------------
 
     def finalize(self) -> AlgElem:
-        """Expand remaining edge words to normal form, giving an AlgElem."""
+        """Expand the remaining edge letters to normal form, giving an
+        AlgElem."""
         backend = self.backend
-        aR = backend.alphabets["R"]
-        aL = backend.alphabets["L"]
+        pbw = {side: {g: tuple(_keyed(d).items()) for g, d in alpha.pbw.items()}
+               for side, alpha in backend.alphabets.items()}
         arity = self.arity
         lo, hi = int(self.has_l), arity - self.has_r
         unit = (((), backend.one),)
         out = {}
         for k, c in self.terms.items():
-            lparts = _word_pbw(backend, aL, k[0]).items() if self.has_l else unit
-            rparts = _word_pbw(backend, aR, k[-1]).items() if self.has_r else unit
+            lparts = pbw["L"][k[0]] if self.has_l else unit
+            rparts = pbw["R"][k[-1]] if self.has_r else unit
             mids = k[lo:hi]
             for ml, cl in lparts:
                 head = ml + mids

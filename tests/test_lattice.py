@@ -12,6 +12,7 @@ from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.extension import generator
 from awbi.numoracle import DEFAULT_POINTS, RepSpec, evaluate, mat_mul
+from awbi.pbw import AlgElem
 from awbi.qcoeff import ONE, LaurentPoly, RatQ
 from awbi.relations import (_prod, check_star, comm_sides,
                             fundamental_families, subsets)
@@ -32,6 +33,15 @@ def test_lattice_products_convert_back_to_published_products():
                 ga, gb = generator(backend, n, A), generator(backend, n, B)
                 assert ab == ga * gb, (backend.name, A, B)
                 assert ba == gb * ga, (backend.name, A, B)
+
+
+def test_lattice_monomials_multiply_in_the_lattice_ring():
+    # AlgElem.mono defaults to the lattice's one, a LaurentPoly, so a
+    # product of lattice monomials reads back as the published product
+    lat = AW.lattice
+    e, f = AlgElem.mono(lat, (0, 0, 1)), AlgElem.mono(lat, (1, 0, 0))
+    assert e.terms == {(lat.pack(0, 0, 1),): lat.one}
+    assert lat.from_lattice(e * f, 0) == lat.from_lattice(e, 0) * lat.from_lattice(f, 0)
 
 
 def _published_star_residual(A, B, n, backend):

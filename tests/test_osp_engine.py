@@ -5,8 +5,10 @@ import random
 import pytest
 
 from awbi import osp_engine as osp
-from awbi.pbw import AlgElem, CoidealWord, EdgeElem, acc_term
+from awbi.pbw import AlgElem, EdgeElem, acc_term
 from awbi.qcoeff import ONE, vpow
+
+from test_uq_engine import letter_maps
 
 BI = osp.BI
 AP, AM, K, KI, P = (AlgElem.mono(BI, e) for e in (
@@ -132,82 +134,83 @@ def test_casimir_coproduct_in_coideal_alphabets():
     # both its legs must be expressible in the coideal alphabets
     seed = EdgeElem.casimir_delta(BI)
     assert seed.finalize() == GAM.coproduct(1)
-    for (lw, rw) in seed.terms:
-        assert all(g in BI.alphabets["L"].letters for g in lw)
-        assert all(g in BI.alphabets["R"].letters for g in rw)
+    for (gl, gr) in seed.terms:
+        assert gl in BI.alphabets["L"].letters
+        assert gr in BI.alphabets["R"].letters
 
 
 def test_tau_images():
-    t = EdgeElem.from_word(CoidealWord.letter(BI, "R", "Gam")).tau_r().finalize()
+    t = EdgeElem.letter(BI, "R", "Gam").tau_r().finalize()
     assert t == GAM.pad(1, 0)
     # tau_R(K^2 P) = 1 (x) K^2P - (q - q^-1) A+K (x) A-K
-    t = EdgeElem.from_word(CoidealWord.letter(BI, "R", "K2P")).tau_r().finalize()
+    t = EdgeElem.letter(BI, "R", "K2P").tau_r().finalize()
     k2p = K * K * P
     expected = k2p.pad(1, 0) - ((AP * K).pad(0, 1) * (AM * K).pad(1, 0)).scale(osp.QM)
     assert t == expected
     # (eps (x) 1) tau_R = id on A+K
-    w = CoidealWord.letter(BI, "R", "A+K")
-    assert EdgeElem.from_word(w).tau_r().counit_mid(1).finalize() == w.expand()
+    x = EdgeElem.letter(BI, "R", "A+K")
+    assert x.tau_r().counit_mid(1).finalize() == x.finalize()
     # tau_L(A- K^-1 P) = A-K^-1P (x) K^-2P
-    t = EdgeElem.from_word(CoidealWord.letter(BI, "L", "A-KiP")).tau_l().finalize()
+    t = EdgeElem.letter(BI, "L", "A-KiP").tau_l().finalize()
     amkip = AM * KI * P
     assert t == amkip.pad(0, 1) * (KI * KI * P).pad(1, 0)
 
 
 def test_comodule_axioms():
     for g in BI.alphabets["R"].letters:
-        t = EdgeElem.from_word(CoidealWord.letter(BI, "R", g)).tau_r()
+        t = EdgeElem.letter(BI, "R", g).tau_r()
         assert t.tau_r().finalize() == t.delta_mid(1).finalize()
-        assert t.counit_mid(1).finalize() == CoidealWord.letter(BI, "R", g).expand()
+        assert t.counit_mid(1).finalize() == EdgeElem.letter(BI, "R", g).finalize()
     for g in BI.alphabets["L"].letters:
-        t = EdgeElem.from_word(CoidealWord.letter(BI, "L", g)).tau_l()
+        t = EdgeElem.letter(BI, "L", g).tau_l()
         assert t.tau_l().finalize() == t.delta_mid(2).finalize()
-        assert t.counit_mid(2).finalize() == CoidealWord.letter(BI, "L", g).expand()
+        assert t.counit_mid(2).finalize() == EdgeElem.letter(BI, "L", g).finalize()
 
 
 def test_coideal_property_tables():
     for side in ("R", "L"):
         alpha = BI.alphabets[side]
         for g in alpha.letters:
-            w = CoidealWord.letter(BI, side, g)
-            st = EdgeElem.from_word(w)
-            table = st.delta_r() if side == "R" else st.delta_l()
-            for key in table.terms:
-                word = key[-1] if side == "R" else key[0]
-                assert all(letter in alpha.letters for letter in word)
-            assert table.finalize() == w.expand().coproduct(1)
+            x = EdgeElem.letter(BI, side, g)
+            table = x.delta_r() if side == "R" else x.delta_l()
+            tau = x.tau_r() if side == "R" else x.tau_l()
+            for key in (*table.terms, *tau.terms):
+                assert (key[-1] if side == "R" else key[0]) in alpha.letters
+            assert table.finalize() == x.finalize().coproduct(1)
+
+
+def test_letter_outside_its_alphabet_is_rejected():
+    with pytest.raises(ValueError, match="Ki2P is not a side-R letter"):
+        EdgeElem.letter(BI, "R", "Ki2P")
+    with pytest.raises(ValueError, match="K2P is not a side-L letter"):
+        EdgeElem.letter(BI, "L", "K2P")
 
 
 def test_tau_well_defined_on_relations():
-    W = lambda g: CoidealWord.letter(BI, "R", g)
-    unit = CoidealWord(BI, "R", {(): ONE})
     q1, qi = vpow(2), vpow(-2)
-    rels = [
-        W("K2P") * W("A+K") + (W("A+K") * W("K2P")).scale(q1),
-        W("K2P") * W("A-K") + (W("A-K") * W("K2P")).scale(qi),
-        # A+K.A-K + q^-1 A-K.A+K = q^-1/2 (K2P.K2P - 1)/(q^1/2 - q^-1/2)
-        W("A+K") * W("A-K") + (W("A-K") * W("A+K")).scale(qi)
-        - (W("K2P") * W("K2P") - unit).scale(osp.VHI * osp.SINV),
-    ]
-    rels += [W("Gam") * W(g) - W(g) * W("Gam") for g in ("A+K", "A-K", "K2P")]
-    for r in rels:
-        assert r.expand().is_zero()
-        assert EdgeElem.from_word(r).tau_r().finalize().is_zero()
 
-    WL = lambda g: CoidealWord.letter(BI, "L", g)
-    unitL = CoidealWord(BI, "L", {(): ONE})
-    rels = [
-        WL("Ki2P") * WL("A+KiP") + (WL("A+KiP") * WL("Ki2P")).scale(qi),
-        WL("Ki2P") * WL("A-KiP") + (WL("A-KiP") * WL("Ki2P")).scale(q1),
-        # A+KiP.A-KiP + q A-KiP.A+KiP = -q^1/2 (1 - Ki2P.Ki2P)/(q^1/2 - q^-1/2)
-        WL("A+KiP") * WL("A-KiP") + (WL("A-KiP") * WL("A+KiP")).scale(q1)
-        + (unitL - WL("Ki2P") * WL("Ki2P")).scale(osp.VH * osp.SINV),
-    ]
-    rels += [WL("Gam") * WL(g) - WL(g) * WL("Gam")
-             for g in ("A+KiP", "A-KiP", "Ki2P")]
-    for r in rels:
-        assert r.expand().is_zero()
-        assert EdgeElem.from_word(r).tau_l().finalize().is_zero()
+    def right(W, unit):
+        return [
+            W["K2P"] * W["A+K"] + (W["A+K"] * W["K2P"]).scale(q1),
+            W["K2P"] * W["A-K"] + (W["A-K"] * W["K2P"]).scale(qi),
+            # A+K.A-K + q^-1 A-K.A+K = q^-1/2 (K2P.K2P - 1)/(q^1/2 - q^-1/2)
+            W["A+K"] * W["A-K"] + (W["A-K"] * W["A+K"]).scale(qi)
+            - (W["K2P"] * W["K2P"] - unit).scale(osp.VHI * osp.SINV),
+        ] + [W["Gam"] * W[g] - W[g] * W["Gam"] for g in ("A+K", "A-K", "K2P")]
+
+    def left(W, unit):
+        return [
+            W["Ki2P"] * W["A+KiP"] + (W["A+KiP"] * W["Ki2P"]).scale(qi),
+            W["Ki2P"] * W["A-KiP"] + (W["A-KiP"] * W["Ki2P"]).scale(q1),
+            # A+KiP.A-KiP + q A-KiP.A+KiP = -q^1/2 (1 - Ki2P.Ki2P)/(q^1/2 - q^-1/2)
+            W["A+KiP"] * W["A-KiP"] + (W["A-KiP"] * W["A+KiP"]).scale(q1)
+            + (unit - W["Ki2P"] * W["Ki2P"]).scale(osp.VH * osp.SINV),
+        ] + [W["Gam"] * W[g] - W[g] * W["Gam"] for g in ("A+KiP", "A-KiP", "Ki2P")]
+
+    for side, rels in (("R", right), ("L", left)):
+        for W, unit in letter_maps(BI, side):
+            for r in rels(W, unit):
+                assert r.is_zero()
 
 
 def test_cotensor_property():

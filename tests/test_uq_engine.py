@@ -5,9 +5,9 @@ import random
 import pytest
 
 from awbi import uq_engine as uq
-from awbi.pbw import (AlgElem, Alphabet, Backend, CoidealWord, EdgeElem,
-                      CoactionError, bracket_q)
-from awbi.qcoeff import ONE, vpow
+from awbi.pbw import (AlgElem, Alphabet, Backend, EdgeElem, CoactionError,
+                      bracket_q)
+from awbi.qcoeff import ONE, ZERO, vpow
 
 AW = uq.AW
 E, F, K, Ki = (AlgElem.mono(AW, e)
@@ -20,6 +20,12 @@ def test_defining_relations():
     assert K * E == (E * K).scale(vpow(4))
     assert K * F == (F * K).scale(vpow(-4))
     assert E * F - F * E == (K - Ki).scale(uq.DINV)
+
+
+def test_mono_with_zero_coefficient_is_zero():
+    assert AlgElem.mono(AW, (0, 0, 1), ZERO) == AlgElem.zero(AW, 1)
+    lat = AW.lattice
+    assert AlgElem.mono(lat, (0, 0, 1), lat.zero).is_zero()
 
 
 def test_mul_examples():
@@ -141,51 +147,58 @@ def test_associativity_randomized():
 
 def test_tau_r_images():
     # tau_R(Cas) = 1 (x) Cas
-    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", "Lam")).tau_r()
+    t = EdgeElem.letter(AW, "R", "Lam").tau_r()
     assert t.finalize() == LAM.pad(1, 0)
     # tau_R(K^-1) = 1 (x) K^-1 - q^-1 (q-q^-1)^2 F (x) EK^-1
-    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", "Ki")).tau_r().finalize()
+    t = EdgeElem.letter(AW, "R", "Ki").tau_r().finalize()
     expected = (AlgElem.one(AW, 1).pad(0, 1) * Ki.pad(1, 0)
                 - (F.pad(0, 1) * (E * Ki).pad(1, 0)).scale(uq.QI * uq.QM2))
     assert t == expected
 
 
 def test_tau_l_images():
-    t = EdgeElem.from_word(CoidealWord.letter(AW, "L", "Lam")).tau_l().finalize()
+    t = EdgeElem.letter(AW, "L", "Lam").tau_l().finalize()
     assert t == LAM.pad(0, 1)
     # tau_L(K) = K (x) 1 - q^-1 (q-q^-1)^2 E (x) FK
-    t = EdgeElem.from_word(CoidealWord.letter(AW, "L", "K")).tau_l().finalize()
+    t = EdgeElem.letter(AW, "L", "K").tau_l().finalize()
     expected = K.pad(0, 1) - (E.pad(0, 1) * (F * K).pad(1, 0)).scale(uq.QI * uq.QM2)
     assert t == expected
     # (1 (x) eps) tau_L = id on FK
-    w = CoidealWord.letter(AW, "L", "FK")
-    assert EdgeElem.from_word(w).tau_l().counit_mid(2).finalize() == w.expand()
+    x = EdgeElem.letter(AW, "L", "FK")
+    assert x.tau_l().counit_mid(2).finalize() == x.finalize()
 
 
 def test_comodule_axioms():
     for g in AW.alphabets["R"].letters:
-        t = EdgeElem.from_word(CoidealWord.letter(AW, "R", g)).tau_r()
+        t = EdgeElem.letter(AW, "R", g).tau_r()
         assert t.tau_r().finalize() == t.delta_mid(1).finalize()
-        assert t.counit_mid(1).finalize() == CoidealWord.letter(AW, "R", g).expand()
+        assert t.counit_mid(1).finalize() == EdgeElem.letter(AW, "R", g).finalize()
     for g in AW.alphabets["L"].letters:
-        t = EdgeElem.from_word(CoidealWord.letter(AW, "L", g)).tau_l()
+        t = EdgeElem.letter(AW, "L", g).tau_l()
         assert t.tau_l().finalize() == t.delta_mid(2).finalize()
-        assert t.counit_mid(2).finalize() == CoidealWord.letter(AW, "L", g).expand()
+        assert t.counit_mid(2).finalize() == EdgeElem.letter(AW, "L", g).finalize()
 
 
 def test_coideal_property_tables():
-    # the coproduct of every alphabet letter keeps its retained leg inside
-    # the alphabet; expanding the table must agree with the engine coproduct
+    # the coproduct and the coaction of every alphabet letter keep their
+    # retained leg a single letter of the alphabet; expanding the coproduct
+    # table must agree with the engine coproduct
     for side in ("R", "L"):
         alpha = AW.alphabets[side]
         for g in alpha.letters:
-            w = CoidealWord.letter(AW, side, g)
-            st = EdgeElem.from_word(w)
-            table = (st.delta_r() if side == "R" else st.delta_l())
-            for key in table.terms:
-                word = key[-1] if side == "R" else key[0]
-                assert all(letter in alpha.letters for letter in word)
-            assert table.finalize() == w.expand().coproduct(1)
+            x = EdgeElem.letter(AW, side, g)
+            table = x.delta_r() if side == "R" else x.delta_l()
+            tau = x.tau_r() if side == "R" else x.tau_l()
+            for key in (*table.terms, *tau.terms):
+                assert (key[-1] if side == "R" else key[0]) in alpha.letters
+            assert table.finalize() == x.finalize().coproduct(1)
+
+
+def test_letter_outside_its_alphabet_is_rejected():
+    with pytest.raises(ValueError, match="E is not a side-R letter"):
+        EdgeElem.letter(AW, "R", "E")
+    with pytest.raises(ValueError, match="EKi is not a side-L letter"):
+        EdgeElem.letter(AW, "L", "EKi")
 
 
 def test_letter_coproduct_outside_the_alphabet_is_rejected():
@@ -201,44 +214,49 @@ def test_letter_coproduct_outside_the_alphabet_is_rejected():
                 AW.rescaling, AW.relation)
 
 
+def letter_maps(backend, side):
+    """Two ways to evaluate a word over one alphabet, each as (letter map,
+    unit): every letter sent to its normal form, and every letter sent to
+    its finalized coaction image.  The image of a word is the product of its
+    letters' images, because the tensor product carries no signs
+    (Backend.mul_terms)."""
+    letters = {g: EdgeElem.letter(backend, side, g)
+               for g in backend.alphabets[side].letters}
+    tau = EdgeElem.tau_r if side == "R" else EdgeElem.tau_l
+    return (({g: x.finalize() for g, x in letters.items()}, AlgElem.one(backend, 1)),
+            ({g: tau(x).finalize() for g, x in letters.items()}, AlgElem.one(backend, 2)))
+
+
 def test_tau_well_defined_on_relations():
     q2, qm2 = vpow(4), vpow(-4)
-    W = lambda g: CoidealWord.letter(AW, "R", g)
-    unit = CoidealWord(AW, "R", {(): ONE})
-    rels = [
-        W("Ki") * W("EKi") - (W("EKi") * W("Ki")).scale(qm2),
-        W("Ki") * W("F") - (W("F") * W("Ki")).scale(q2),
-        W("EKi") * W("F") - (W("F") * W("EKi")).scale(q2)
-        - (unit - W("Ki") * W("Ki")).scale(q2 * uq.DINV),
-    ]
-    rels += [W("Lam") * W(g) - W(g) * W("Lam") for g in ("EKi", "F", "Ki")]
-    for r in rels:
-        assert r.expand().is_zero()
-        assert EdgeElem.from_word(r).tau_r().finalize().is_zero()
 
-    WL = lambda g: CoidealWord.letter(AW, "L", g)
-    unitL = CoidealWord(AW, "L", {(): ONE})
-    rels = [
-        WL("K") * WL("E") - (WL("E") * WL("K")).scale(q2),
-        WL("K") * WL("FK") - (WL("FK") * WL("K")).scale(qm2),
-        WL("E") * WL("FK") - (WL("FK") * WL("E")).scale(qm2)
-        - (WL("K") * WL("K") - unitL).scale(uq.DINV),
-    ]
-    rels += [WL("Lam") * WL(g) - WL(g) * WL("Lam") for g in ("E", "FK", "K")]
-    for r in rels:
-        assert r.expand().is_zero()
-        assert EdgeElem.from_word(r).tau_l().finalize().is_zero()
+    def right(W, unit):
+        return [
+            W["Ki"] * W["EKi"] - (W["EKi"] * W["Ki"]).scale(qm2),
+            W["Ki"] * W["F"] - (W["F"] * W["Ki"]).scale(q2),
+            W["EKi"] * W["F"] - (W["F"] * W["EKi"]).scale(q2)
+            - (unit - W["Ki"] * W["Ki"]).scale(q2 * uq.DINV),
+        ] + [W["Lam"] * W[g] - W[g] * W["Lam"] for g in ("EKi", "F", "Ki")]
+
+    def left(W, unit):
+        return [
+            W["K"] * W["E"] - (W["E"] * W["K"]).scale(q2),
+            W["K"] * W["FK"] - (W["FK"] * W["K"]).scale(qm2),
+            W["E"] * W["FK"] - (W["FK"] * W["E"]).scale(qm2)
+            - (W["K"] * W["K"] - unit).scale(uq.DINV),
+        ] + [W["Lam"] * W[g] - W[g] * W["Lam"] for g in ("E", "FK", "K")]
+
+    for side, rels in (("R", right), ("L", left)):
+        for W, unit in letter_maps(AW, side):
+            for r in rels(W, unit):
+                assert r.is_zero()
 
 
 def test_tau_on_equal_words_two_ways():
     # K^-1 . EK^-1 and EK^-1 . K^-1 represent proportional elements; their
     # coaction images must match after expansion with the same scalar
-    w1 = CoidealWord.letter(AW, "R", "Ki") * CoidealWord.letter(AW, "R", "EKi")
-    w2 = CoidealWord.letter(AW, "R", "EKi") * CoidealWord.letter(AW, "R", "Ki")
-    assert w1.expand() == w2.expand().scale(vpow(-4))
-    img1 = EdgeElem.from_word(w1).tau_r().finalize()
-    img2 = EdgeElem.from_word(w2).tau_r().finalize()
-    assert img1 == img2.scale(vpow(-4))
+    for W, _ in letter_maps(AW, "R"):
+        assert W["Ki"] * W["EKi"] == (W["EKi"] * W["Ki"]).scale(vpow(-4))
 
 
 def test_cotensor_property():
@@ -260,7 +278,7 @@ def test_iterated_coaction_equals_leading_coproducts():
     # (1^2 (x) tauR)(1 (x) tauR) tauR = (Delta (x) 1^2)(Delta (x) 1) tauR
     # on each right letter; the same exchange drives gap-widening rewrites
     for g in AW.alphabets["R"].letters:
-        t = EdgeElem.from_word(CoidealWord.letter(AW, "R", g)).tau_r()
+        t = EdgeElem.letter(AW, "R", g).tau_r()
         lhs = t.tau_r().tau_r().finalize()
         rhs = t.delta_mid(1).delta_mid(1).finalize()
         assert lhs == rhs
@@ -271,7 +289,7 @@ def test_iterated_coaction_equals_leading_coproducts():
 
 
 def test_coaction_on_normalized_leg_rejected():
-    t = EdgeElem.from_word(CoidealWord.letter(AW, "R", "F")).tau_r()
+    t = EdgeElem.letter(AW, "R", "F").tau_r()
     with pytest.raises(CoactionError):
         t.tau_l()
 
