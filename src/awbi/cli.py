@@ -194,23 +194,19 @@ def cmd_selftest(args) -> int:
 
 def _process_equivalence_reports(backend, max_n):
     import itertools
-    from .extension import plan_derived, plan_left, plan_mixed, plan_right
     bad = []
     for n in range(1, max_n + 1):
         for r in range(1, n + 1):
             for elems in itertools.combinations(range(1, n + 1), r):
                 A = IndexSet(n, elems)
-                ref = build(A, backend, plan_right(A))
-                others = [build(A, backend, plan_left(A)),
-                          build(A, backend, plan_derived(A))]
-                others += [build(A, backend, plan_mixed(A, j))
-                           for j in range(1, len(elems) + 1)]
-                if any(o != ref for o in others):
+                ref = build(A, backend)
+                processes = ["left", "derived"] + [f"mixed:{j}" for j in range(1, r + 1)]
+                if any(build(A, backend, make_plan(A, p)) != ref for p in processes):
                     bad.append(("process-equivalence", elems, n))
     return bad
 
 
-def _field_axiom_failures(seed, rounds=60):
+def _field_axiom_failures(seed):
     import random
     from .qcoeff import LaurentPoly, RatQ, ONE, ZERO
     rng = random.Random(seed)
@@ -226,7 +222,7 @@ def _field_axiom_failures(seed, rounds=60):
         return RatQ.make(num, den)
 
     bad = 0
-    for _ in range(rounds):
+    for _ in range(60):
         a, b, c = rratq(), rratq(), rratq()
         ok = ((a + b) + c == a + (b + c)
               and (a * b) * c == a * (b * c)
@@ -238,7 +234,7 @@ def _field_axiom_failures(seed, rounds=60):
     return bad
 
 
-def _hopf_axiom_failures(backend, seed, rounds=25):
+def _hopf_axiom_failures(backend, seed):
     import random
     from .pbw import AlgElem, EdgeElem
     rng = random.Random(seed)
@@ -268,7 +264,7 @@ def _hopf_axiom_failures(backend, seed, rounds=25):
         t = EdgeElem.letter(backend, "L", g).tau_l()
         if t.tau_l().finalize() != t.delta_mid(2).finalize():
             bad.append(("comodule-L", g))
-    for _ in range(rounds):
+    for _ in range(25):
         a, b, c = relem(), relem(), relem()
         if (a * b) * c != a * (b * c):
             bad.append(("associativity", backend.name))

@@ -2,12 +2,12 @@
 right, left, mixed and derived-order extension processes.
 
 A plan is explicit data: the ordered list of morphism applications
-(coproduct or coaction, with the target leg at application time).  Building
-executes a plan starting from the backend Casimir, keeping the edge legs as
-coideal letters for as long as coactions may still hit them, then normalizes
-and pads with identity legs.  Every build runs in the backend's lattice
-(pbw.Lattice), over Z[v, v^-1]; a generator asked for in the published
-basis is converted back once, when it is finished.
+(coproduct or coaction, with the target leg at application time), checked
+once, by MorphismPlan.  Building executes it on the backend Casimir, with
+the edge legs kept as coideal letters until the first coproduct on an
+interior leg normalizes the element, then pads with identity legs.  Every
+build runs in the backend's lattice (pbw.Lattice, over Z[v, v^-1]); a
+published generator is converted back once, when it is finished.
 
 Equality of the elements produced by different plans for the same set is a
 theorem (and a first-class test here), not an assumption.  It rests on one
@@ -25,6 +25,7 @@ checks lift a compressed residual by the same schedule (relations).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -42,7 +43,12 @@ class IndexSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("arity must be positive")
-        elems = tuple(sorted(set(self.elements)))
+        for e in self.elements:
+            try:
+                operator.index(e)
+            except TypeError:
+                raise ValueError(f"element {e!r} is not an integer") from None
+        elems = tuple(sorted(set(map(operator.index, self.elements))))
         object.__setattr__(self, "elements", elems)
         for e in elems[:1] + elems[-1:]:
             if not 1 <= e <= self.n:
@@ -92,20 +98,30 @@ DELTA, TAU_R, TAU_L = "Delta", "TauR", "TauL"
 @dataclass(frozen=True)
 class MorphismPlan:
     """Ordered steps (kind, position), with positions counted at application
-    time on the core element (leg 1 = min(A)).  Coactions only ever target
-    the current outermost leg on their side; enforced at construction."""
+    time on the core element (leg 1 = min(A)).  Every plan rule is checked
+    here, at construction: each step is a coproduct on an existing leg or a
+    coaction on the outermost leg of its side (ValueError); the plan opens
+    with the Casimir's coproduct, and no coaction follows a coproduct on an
+    interior leg, which normalizes the element for good (CoactionError)."""
 
     steps: tuple
 
     def __post_init__(self):
-        arity = 1
+        arity, normalized = 1, False
         for kind, pos in self.steps:
+            if kind not in (DELTA, TAU_R, TAU_L):
+                raise ValueError(f"unknown step kind {kind!r}")
             if kind == TAU_R and pos != arity:
                 raise ValueError("right coaction must target the rightmost leg")
             if kind == TAU_L and pos != 1:
                 raise ValueError("left coaction must target the leftmost leg")
             if kind == DELTA and not 1 <= pos <= arity:
                 raise ValueError(f"coproduct position {pos} out of range")
+            if kind != DELTA and arity == 1:
+                raise CoactionError("a construction must start with the coproduct")
+            if kind != DELTA and normalized:
+                raise CoactionError("coaction requested on a normalized leg")
+            normalized |= kind == DELTA and 1 < pos < arity
             arity += 1
 
     def render(self) -> str:
@@ -218,53 +234,43 @@ def make_plan(A: IndexSet, process: str) -> MorphismPlan | None:
 # ---------------------------------------------------------------------------
 
 def _execute(backend: Backend, plan: MorphismPlan) -> AlgElem:
-    """Run a plan on the backend Casimir.  Edge coactions act on letter legs;
-    once a coproduct hits an interior leg the element is normalized for
-    good and only further coproducts are allowed."""
-    state = None
-    alg = None
-    for kind, pos in plan.steps:
-        if alg is None and state is None:
-            if kind != DELTA or pos != 1:
-                raise CoactionError("a construction must start with the coproduct")
-            state = EdgeElem.casimir_delta(backend)
-            continue
-        if alg is None:
-            if kind == TAU_R:
-                state = state.tau_r()
-            elif kind == TAU_L:
-                state = state.tau_l()
-            elif pos == state.arity:
-                state = state.delta_r()
-            elif pos == 1:
-                state = state.delta_l()
-            else:
-                alg = state.finalize()
-                state = None
-                alg = alg.coproduct(pos)
+    """Run a plan on the backend Casimir: edge steps on the letter legs of
+    an EdgeElem, normalized once at the first coproduct on an interior leg,
+    after which the plan's rules leave only coproducts."""
+    if not plan.steps:
+        return AlgElem.casimir(backend)
+    steps = iter(plan.steps[1:])
+    state = EdgeElem.casimir_delta(backend)
+    for kind, pos in steps:
+        if kind == TAU_R:
+            state = state.tau_r()
+        elif kind == TAU_L:
+            state = state.tau_l()
+        elif pos == state.arity:
+            state = state.delta_r()
+        elif pos == 1:
+            state = state.delta_l()
         else:
-            if kind != DELTA:
-                raise CoactionError("coaction requested on a normalized leg")
-            alg = alg.coproduct(pos)
-    if alg is not None:
-        return alg
-    if state is not None:
-        return state.finalize()
-    return AlgElem.casimir(backend)
+            alg = state.finalize().coproduct(pos)
+            for _, pos in steps:
+                alg = alg.coproduct(pos)
+            return alg
+    return state.finalize()
 
 
 def build(A: IndexSet, backend: Backend, plan: MorphismPlan | None = None) -> AlgElem:
     """The generator for A inside the n-fold tensor power, over backend: a
-    published backend or its lattice, where the build runs either way."""
+    published backend or its lattice, where the build runs either way.  The
+    plan (right by default) must span A; that is checked before it runs."""
     if not A.elements:
         return empty_generator(backend, A.n)
     if plan is None:
         plan = plan_right(A)
+    lo, hi = A.elements[0], A.elements[-1]
+    if len(plan.steps) + 1 != hi - lo + 1:
+        raise ValueError("plan arity does not match the set span")
     lat = backend.lattice
     core = _execute(lat, plan)
-    lo, hi = A.elements[0], A.elements[-1]
-    if core.arity != hi - lo + 1:
-        raise ValueError("plan arity does not match the set span")
     if backend is not lat:
         core = lat.from_lattice(core, 1)
     return core.pad(lo - 1, A.n - hi)

@@ -146,8 +146,7 @@ def crosscheck(lhs: AlgElem, rhs: AlgElem, spec: RepSpec) -> bool:
 DEFAULT_POINTS = (Fraction(3, 2), Fraction(5, 7))
 
 
-def crosscheck_points(lhs: AlgElem, rhs: AlgElem, dims,
-                      points=DEFAULT_POINTS) -> bool:
-    """Cross-check at several evaluation points; a second point guards
-    against accidental vanishing at the first."""
-    return all(crosscheck(lhs, rhs, RepSpec(tuple(dims), r)) for r in points)
+def crosscheck_points(lhs: AlgElem, rhs: AlgElem, dims) -> bool:
+    """Cross-check at the DEFAULT_POINTS; a second point guards against
+    accidental vanishing at the first."""
+    return all(crosscheck(lhs, rhs, RepSpec(tuple(dims), r)) for r in DEFAULT_POINTS)

@@ -162,8 +162,8 @@ BI = Backend(
     gen_delta=_GEN_DELTA,
     casimir=_CASIMIR,
     alphabets={
-        "R": Alphabet("R", ("A+K", "A-K", "K2P", "Gam"), _R_PBW, _R_TAU),
-        "L": Alphabet("L", ("A+KiP", "A-KiP", "Ki2P", "Gam"), _L_PBW, _L_TAU),
+        "R": Alphabet(("A+K", "A-K", "K2P", "Gam"), _R_PBW, _R_TAU),
+        "L": Alphabet(("A+KiP", "A-KiP", "Ki2P", "Gam"), _L_PBW, _L_TAU),
     },
     casimir_delta=_CAS_DELTA,
     rescaling=((0, 1, 0, 0), SM, QM),

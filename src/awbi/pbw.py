@@ -44,7 +44,8 @@ class CoactionError(Exception):
 
 
 class Alphabet:
-    """One coideal generator alphabet (side "R" or "L") of a backend.
+    """One coideal generator alphabet (side "R" or "L") of a backend; each
+    Backend holds its own copies.
 
     letters: tuple of names.
     pbw[g]: the letter as an arity-1 term dict {mono: coeff}.
@@ -57,10 +58,9 @@ class Alphabet:
         the Backend from the monomial coproducts.
     """
 
-    __slots__ = ("side", "letters", "pbw", "tau", "delta")
+    __slots__ = ("letters", "pbw", "tau", "delta")
 
-    def __init__(self, side, letters, pbw, tau):
-        self.side = side
+    def __init__(self, letters, pbw, tau):
         self.letters = letters
         self.pbw = pbw
         self.tau = tau
@@ -101,7 +101,8 @@ class Backend:
         self._mul_mono_raw = mul_mono
         self.gen_delta = gen_delta
         self.casimir = casimir                  # arity-1 term dict
-        self.alphabets = alphabets              # {"R": Alphabet, "L": Alphabet}
+        self.alphabets = {side: Alphabet(a.letters, a.pbw, a.tau)
+                          for side, a in alphabets.items()}
         self.casimir_delta = casimir_delta      # tuple of (L letter, R letter, coeff)
         self.rescaling = rescaling              # (weights, factor, normaliser)
         self.relation = relation                # (w, s, plus, minus)
@@ -114,8 +115,8 @@ class Backend:
         for m, c in casimir.items():
             if self.counit_mono(m):
                 self.casimir_counit = self.casimir_counit + c
-        for side in ("R", "L"):
-            alphabets[side].delta = self._letter_deltas(side)
+        for side, alpha in self.alphabets.items():
+            alpha.delta = self._letter_deltas(side)
 
     def __reduce__(self):
         # each backend is one module-level instance: a worker process
@@ -146,7 +147,8 @@ class Backend:
         """Product of two term dicts keyed by equal-length tuples of factor
         monomials, factor by factor under mul_mono; the parity generator
         carries all sign information, so there are no cross-factor signs.
-        Lattice overrides this loop with its packed one."""
+        The published-basis product, and the tests' reference for the
+        packed loop that Lattice overrides it with."""
         mul = self.mul_mono
         out = {}
         bterms = b.items()
@@ -154,16 +156,7 @@ class Backend:
             for k2, c2 in bterms:
                 parts = [((), c1 * c2)]
                 for x, y in zip(k1, k2):
-                    fr = mul(x, y)
-                    if len(fr) == 1:
-                        m, fc = fr[0]
-                        if fc.is_one():
-                            parts = [(k + (m,), cc) for k, cc in parts]
-                        else:
-                            parts = [(k + (m,), cc * fc) for k, cc in parts]
-                    else:
-                        parts = [(k + (m,), cc * fc)
-                                 for k, cc in parts for m, fc in fr]
+                    parts = [(k + (m,), cc * fc) for k, cc in parts for m, fc in mul(x, y)]
                 for k, cc in parts:
                     acc_term(out, k, cc)
         return out
@@ -322,7 +315,7 @@ class Lattice(Backend):
         tau = {g: tuple((convert(u, w - scale[g2][0], d - scale[g2][1]), g2)
                         for u, g2 in alpha.tau[g])
                for g, (w, d) in scale.items()}
-        return Alphabet(alpha.side, alpha.letters,
+        return Alphabet(alpha.letters,
                         {g: convert(alpha.pbw[g], w, d) for g, (w, d) in scale.items()},
                         tau), scale
 

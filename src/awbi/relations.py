@@ -272,39 +272,17 @@ def suite_commute(n, backend, extra_pairs=()):
     return reports
 
 
-def quadruples(n):
-    """All ordered quadruples of separated (possibly empty) subsets of [1;n]:
-    a subset of [1;n] cut into four consecutive blocks."""
-    for S in subsets(n):
-        for c1 in range(len(S) + 1):
-            for c2 in range(c1, len(S) + 1):
-                for c3 in range(c2, len(S) + 1):
-                    yield S[:c1], S[c1:c2], S[c2:c3], S[c3:]
-
-
-def theorem_pairs(n):
-    """Deduplicated (A, B) pairs generated by the three admissible forms."""
-    seen = {}
-    for a1, a2, a3, a4 in quadruples(n):
-        forms = (
-            (tuple(sorted(a1 + a2 + a4)), tuple(sorted(a2 + a3))),
-            (tuple(sorted(a2 + a3)), tuple(sorted(a1 + a3 + a4))),
-            (tuple(sorted(a1 + a3 + a4)), tuple(sorted(a1 + a2 + a4))),
-        )
-        for i, pair in enumerate(forms):
-            seen.setdefault(pair, (i + 1, (a1, a2, a3, a4)))
-    return seen
-
-
 def suite_theorem_B(n, backend):
-    """The standard relation on every pair produced by the admissible
-    quadruple forms inside [1;n]."""
+    """The standard relation on every pair inside [1;n] that predict_pattern
+    accepts, in sorted (A, B) order, with the decider's form and witness."""
     reports = []
-    for (A, B), (form, quad) in sorted(theorem_pairs(n).items()):
-        rep = check_star(A, B, n, backend)
-        rep.label = f"quadruple-form-{form}"
-        rep.witness = (form, quad)
-        reports.append(rep)
+    for A, B in sorted(itertools.product(subsets(n), repeat=2)):
+        ok, witness = predict_pattern(A, B)
+        if ok:
+            rep = check_star(A, B, n, backend)
+            rep.label = f"quadruple-form-{witness[0]}"
+            rep.witness = witness
+            reports.append(rep)
     return reports
 
 

@@ -149,8 +149,8 @@ AW = Backend(
     gen_delta=_GEN_DELTA,
     casimir=_CASIMIR,
     alphabets={
-        "R": Alphabet("R", ("EKi", "F", "Ki", "Lam"), _R_PBW, _R_TAU),
-        "L": Alphabet("L", ("E", "FK", "K", "Lam"), _L_PBW, _L_TAU),
+        "R": Alphabet(("EKi", "F", "Ki", "Lam"), _R_PBW, _R_TAU),
+        "L": Alphabet(("E", "FK", "K", "Lam"), _L_PBW, _L_TAU),
     },
     casimir_delta=_CAS_DELTA,
     rescaling=((1, 0, 1), QM, ONE),

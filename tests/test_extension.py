@@ -1,6 +1,7 @@
 """Extension processes: plans, builds, equivalences, empty-set scalars."""
 
 import itertools
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from awbi import uq_engine as uq
 from awbi.extension import (IndexSet, MorphismPlan, build, derive_empty_scalar,
                             empty_generator, generator, make_plan, plan_derived,
                             plan_left, plan_mixed, plan_right)
-from awbi.pbw import AlgElem, bracket_q
+from awbi.pbw import AlgElem, CoactionError, bracket_q
 from awbi.qcoeff import ONE
 
 AW, BI = uq.AW, osp.BI
@@ -68,6 +69,9 @@ def test_plan_validation():
         MorphismPlan((("Delta", 1), ("TauL", 2)))
     with pytest.raises(ValueError):
         MorphismPlan((("Delta", 2),))
+    # an unknown step kind is refused, not run as a coproduct
+    with pytest.raises(ValueError, match="unknown step kind 'Dleta'"):
+        MorphismPlan((("Delta", 1), ("Dleta", 2)))
 
 
 def test_derived_plan_pure_interval_is_coproduct_chain():
@@ -176,12 +180,36 @@ def test_derived_equivalence_three_intervals():
 
 
 def test_executor_rejects_coaction_after_normalization():
-    from awbi.pbw import CoactionError
     # a plan whose interior coproduct normalizes the element cannot be
-    # followed by a coaction
-    plan = MorphismPlan((("Delta", 1), ("Delta", 1), ("Delta", 2), ("TauR", 4)))
+    # followed by a coaction; the plan is refused when it is constructed
     with pytest.raises(CoactionError):
+        plan = MorphismPlan((("Delta", 1), ("Delta", 1), ("Delta", 2), ("TauR", 4)))
         build(IndexSet(5, (1, 2, 3, 4, 5)), AW, plan)
+
+
+def test_plan_rules_are_checked_at_construction():
+    # a plan opens with the Casimir's coproduct, not a coaction
+    for kind in ("TauR", "TauL"):
+        with pytest.raises(CoactionError, match="start with the coproduct"):
+            MorphismPlan(((kind, 1),))
+    # no coaction after a coproduct on an interior leg (1 < pos < arity)
+    with pytest.raises(CoactionError, match="normalized leg"):
+        MorphismPlan((("Delta", 1), ("Delta", 1), ("Delta", 2), ("TauL", 1)))
+    # coproducts at the edges keep the legs letters, so coactions may follow
+    MorphismPlan((("Delta", 1), ("Delta", 1), ("Delta", 3), ("TauR", 4), ("TauL", 1)))
+
+
+def test_build_rejects_a_plan_that_does_not_span_the_set():
+    A = IndexSet(5, (1, 3))
+    for plan in (plan_right(IndexSet(5, (1, 2))), plan_right(IndexSet(5, (1, 4)))):
+        with pytest.raises(ValueError, match="plan arity does not match the set span"):
+            build(A, AW, plan)
+
+
+def test_index_set_rejects_non_integers():
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"element {bad!r} is not an integer")):
+            IndexSet(3, (bad,))
 
 
 def test_padding_naturality():

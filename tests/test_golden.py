@@ -14,7 +14,7 @@ import re
 import pytest
 
 from awbi.cli import main
-from awbi.extension import generator
+from awbi.extension import IndexSet, build, generator, make_plan
 from awbi.osp_engine import BI
 from awbi.uq_engine import AW
 
@@ -105,3 +105,27 @@ def _cli_digest(capsys, backend, command, process):
 def test_cli_output_digests(capsys, backend, command, process):
     expected = CLI_OUTPUT[(backend, command, process)]
     assert _cli_digest(capsys, backend, command, process) == expected
+
+
+# every nonempty subset of [1;6] built under every process (right, left,
+# derived and each mixed:J) on both backends, 762 builds in one digest
+ALL_ORDERS_N6 = "a19fc69de21c3434bf74a07f565f63ab99140692e26b567b321dcdcc8ab21009"
+
+
+def _all_orders_digest(n):
+    h = hashlib.sha256()
+    for backend in (AW, BI):
+        for r in range(1, n + 1):
+            for elems in itertools.combinations(range(1, n + 1), r):
+                A = IndexSet(n, elems)
+                processes = ["right", "left", "derived"]
+                processes += [f"mixed:{j}" for j in range(1, r + 1)]
+                for process in processes:
+                    g = build(A, backend, make_plan(A, process))
+                    h.update(json.dumps([backend.name, elems, process, g.to_json()],
+                                        sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_all_orders_build_digest():
+    assert _all_orders_digest(6) == ALL_ORDERS_N6

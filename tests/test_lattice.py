@@ -147,3 +147,25 @@ def test_oracle_confirms_lattice_products():
             mb = evaluate(generator(AW, n, B), spec)
             assert evaluate(ab, spec) == mat_mul(ma, mb), (A, B, v)
             assert evaluate(ba, spec) == mat_mul(mb, ma), (A, B, v)
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_counit_deletes_a_leg(backend):
+    # the deletion lemma: the counit on leg i sends G_X to G_X' at arity
+    # n - 1, X' being X without i and the legs above i renumbered down
+    lat = backend.lattice
+    controls = 0
+    for n in range(2, 7):
+        for X in subsets(n):
+            g = generator(lat, n, X)
+            for i in range(1, n + 1):
+                image = g.counit(i)
+                kept = tuple(e for e in X if e != i)
+                shifted = tuple(e - (e > i) for e in kept)
+                assert image == generator(lat, n - 1, shifted), (n, X, i)
+                # control: the renumbering without the shift, wherever it
+                # names another subset of [1;n-1]
+                if kept != shifted and max(kept) < n:
+                    assert image != generator(lat, n - 1, kept), (n, X, i)
+                    controls += 1
+    assert controls == 144

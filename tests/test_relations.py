@@ -2,13 +2,41 @@
 
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
+import pytest
+
 from awbi.relations import (check_comm, check_star, fundamental_families,
                             predict_pattern, q_identities_regression, scan,
                             subsets, suite_commute, suite_fundamental,
                             suite_named_lemmas, suite_theorem_B,
-                            theorem_pairs, EXPLICIT_COMM_PAIRS)
+                            EXPLICIT_COMM_PAIRS)
 
 AW, BI = uq.AW, osp.BI
+
+
+def quadruples(n):
+    """All ordered quadruples of separated (possibly empty) subsets of [1;n]:
+    a subset of [1;n] cut into four consecutive blocks."""
+    for S in subsets(n):
+        for c1 in range(len(S) + 1):
+            for c2 in range(c1, len(S) + 1):
+                for c3 in range(c2, len(S) + 1):
+                    yield S[:c1], S[c1:c2], S[c2:c3], S[c3:]
+
+
+def theorem_pairs(n):
+    """The reference for predict_pattern: the deduplicated (A, B) pairs
+    that the three admissible forms generate from the quadruples, each
+    with the first (form, quadruple) that generates it."""
+    seen = {}
+    for a1, a2, a3, a4 in quadruples(n):
+        forms = (
+            (tuple(sorted(a1 + a2 + a4)), tuple(sorted(a2 + a3))),
+            (tuple(sorted(a2 + a3)), tuple(sorted(a1 + a3 + a4))),
+            (tuple(sorted(a1 + a3 + a4)), tuple(sorted(a1 + a2 + a4))),
+        )
+        for i, pair in enumerate(forms):
+            seen.setdefault(pair, (i + 1, (a1, a2, a3, a4)))
+    return seen
 
 
 def test_rank_one_relations():
@@ -103,6 +131,17 @@ def test_suite_theorem_B_n3():
     for backend in (AW, BI):
         reports = suite_theorem_B(3, backend)
         assert all(r.holds_star for r in reports)
+    # the decider's pairs, in sorted order, each labelled with its witness
+    assert [(r.A, r.B) for r in reports] == sorted(theorem_pairs(3))
+    for r in reports:
+        assert (True, r.witness) == predict_pattern(r.A, r.B)
+        assert r.label == f"quadruple-form-{r.witness[0]}"
+
+
+def test_non_integer_index_is_rejected():
+    # 1.5 matches no leg; it must not be read as the pair ((), (2,))
+    with pytest.raises(ValueError, match="1.5"):
+        check_star((1.5,), (2,), 3, AW)
 
 
 def test_quadruple_form_example_n4():

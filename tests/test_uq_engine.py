@@ -206,12 +206,28 @@ def test_letter_coproduct_outside_the_alphabet_is_rejected():
     # keeps the identity on the right, and the identity is no right letter
     R, L = AW.alphabets["R"], AW.alphabets["L"]
     bad_pbw = dict(R.pbw, F={AW.pack(0, 0, 1): ONE})
-    alphabets = {"R": Alphabet("R", R.letters, bad_pbw, R.tau),
-                 "L": Alphabet("L", L.letters, L.pbw, L.tau)}
+    alphabets = {"R": Alphabet(R.letters, bad_pbw, R.tau),
+                 "L": Alphabet(L.letters, L.pbw, L.tau)}
     with pytest.raises(ValueError, match="side-R letter F "):
         Backend("aw-bad", AW.field_names, AW.pack, AW.unpack, uq._mul_mono,
                 AW.gen_delta, AW.casimir, alphabets, AW.casimir_delta,
                 AW.rescaling, AW.relation)
+
+
+def test_backend_keeps_its_own_alphabets():
+    # a mutant built from AW's alphabets, with a scaled F coproduct, derives
+    # its letter-coproduct tables into its own copies, not into AW's
+    before = {side: dict(AW.alphabets[side].delta) for side in ("R", "L")}
+    image = EdgeElem.letter(AW, "R", "F").delta_r().finalize()
+    gen_delta = tuple(None if g is None else
+                      {k: c * vpow(2) if i == 0 else c for k, c in g.items()}
+                      for i, g in enumerate(AW.gen_delta))
+    mutant = Backend("aw-mutant", AW.field_names, AW.pack, AW.unpack, uq._mul_mono,
+                     gen_delta, AW.casimir, AW.alphabets, AW.casimir_delta,
+                     AW.rescaling, AW.relation)
+    assert mutant.alphabets["R"].delta["F"] != before["R"]["F"]
+    assert {side: AW.alphabets[side].delta for side in ("R", "L")} == before
+    assert EdgeElem.letter(AW, "R", "F").delta_r().finalize() == image
 
 
 def letter_maps(backend, side):
