@@ -27,7 +27,7 @@ for g in AW.alphabets["R"].letters:
 
 seed = EdgeElem.casimir_delta(AW)
 print("\nCasimir coproduct, with both legs kept in the coideal alphabets:")
-for (gl, gr), c in seed.terms.items():
+for gl, gr, c in AW.casimir_delta:
     print(f"  {gl} (x) {gr}   coeff {c.pretty()}")
 
 lhs = seed.tau_r().finalize()

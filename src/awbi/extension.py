@@ -6,8 +6,12 @@ A plan is explicit data: the ordered list of morphism applications
 once, by MorphismPlan.  Building executes it on the backend Casimir, with
 the edge legs kept as coideal letters until the first coproduct on an
 interior leg normalizes the element, then pads with identity legs.  Every
-build runs in the backend's lattice (pbw.Lattice, over Z[v, v^-1]); a
-published generator is converted back once, when it is finished.
+build runs in the backend's lattice (pbw.Lattice, over Z[v, v^-1]) on
+coefficients packed at the lattice's fixed slot width (64 bits), carrying
+one certified l1 bound that each step multiplies by the largest row l1
+sum of its table (pbw.EdgeElem); a state whose bound would reach the slot
+is repacked at twice the width first.  A finished build is unpacked, or
+converted to the published basis, once, in EdgeElem.finalize.
 
 Equality of the elements produced by different plans for the same set is a
 theorem (and a first-class test here), not an assumption.  It rests on one
@@ -235,26 +239,22 @@ def make_plan(A: IndexSet, process: str) -> MorphismPlan | None:
 
 def _execute(backend: Backend, plan: MorphismPlan) -> AlgElem:
     """Run a plan on the backend Casimir: edge steps on the letter legs of
-    an EdgeElem, normalized once at the first coproduct on an interior leg,
-    after which the plan's rules leave only coproducts."""
+    an EdgeElem, its letters expanded at the first coproduct on an
+    interior leg, after which the plan's rules leave only coproducts."""
     if not plan.steps:
         return AlgElem.casimir(backend)
-    steps = iter(plan.steps[1:])
     state = EdgeElem.casimir_delta(backend)
-    for kind, pos in steps:
+    for kind, pos in plan.steps[1:]:
         if kind == TAU_R:
             state = state.tau_r()
         elif kind == TAU_L:
             state = state.tau_l()
-        elif pos == state.arity:
+        elif pos == state.arity and state.has_r:
             state = state.delta_r()
-        elif pos == 1:
+        elif pos == 1 and state.has_l:
             state = state.delta_l()
         else:
-            alg = state.finalize().coproduct(pos)
-            for _, pos in steps:
-                alg = alg.coproduct(pos)
-            return alg
+            state = state.expand().delta_mid(pos)
     return state.finalize()
 
 
@@ -269,11 +269,7 @@ def build(A: IndexSet, backend: Backend, plan: MorphismPlan | None = None) -> Al
     lo, hi = A.elements[0], A.elements[-1]
     if len(plan.steps) + 1 != hi - lo + 1:
         raise ValueError("plan arity does not match the set span")
-    lat = backend.lattice
-    core = _execute(lat, plan)
-    if backend is not lat:
-        core = lat.from_lattice(core, 1)
-    return core.pad(lo - 1, A.n - hi)
+    return _execute(backend, plan).pad(lo - 1, A.n - hi)
 
 
 def empty_generator(backend: Backend, n: int) -> AlgElem:
@@ -285,13 +281,15 @@ def empty_generator(backend: Backend, n: int) -> AlgElem:
 # generator cache
 # ---------------------------------------------------------------------------
 
+# keyed by the backend itself, so two backends that share a name never
+# share an entry
 _CACHE: dict = {}
 
 
 def generator(backend: Backend, n: int, elements) -> AlgElem:
     """Cached right-process generator for the given subset of [1;n], over
     backend: a published backend or its lattice."""
-    key = (backend.name, n, tuple(sorted(set(elements))))
+    key = (backend, n, tuple(sorted(set(elements))))
     g = _CACHE.get(key)
     if g is None:
         g = _CACHE[key] = build(IndexSet(n, key[2]), backend)

@@ -17,13 +17,15 @@ backend's Lattice twin, where the presentation tables, every intermediate
 build state, generators and products all have Laurent polynomial
 coefficients, so neither construction nor the product loop meets a
 denominator.  Conversion to the published basis happens only at the edge:
-a finished generator, a residual or a printed side.  Every product in a
-lattice, its tables' included, runs on Kronecker-packed coefficients:
-each Laurent polynomial becomes one int, its value at v = 2^k, with the
-slot width k chosen per product from an l1 bound that no coefficient of
-the result or of any partial sum can reach, so unpacking is exact
-(Lattice.mul_terms); the published basis multiplies term by term
-(Backend.mul_terms).
+a finished generator, a residual or a printed side.  Lattice arithmetic
+runs on Kronecker-packed coefficients: each Laurent polynomial becomes one
+int, its value at v = 2^k.  A product picks its slot width k from an l1
+bound that no coefficient of the result or of any partial sum can reach
+(Lattice.mul_terms).  A build runs at its lattice's fixed width and
+carries one certified l1 bound from the Casimir seed to the conversion,
+repacking at twice the width before the bound reaches 2^(k-1)
+(EdgeElem).  So every unpacking and zero test is exact; the published
+basis multiplies term by term (Backend.mul_terms).
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as letters of a coideal alphabet (EdgeElem).  Every row of a
@@ -119,9 +121,11 @@ class Backend:
             alpha.delta = self._letter_deltas(side)
 
     def __reduce__(self):
-        # each backend is one module-level instance: a worker process
-        # sends it back by name, without its caches
+        # a module-level backend goes to a worker process by name, without
+        # its caches; any other backend refuses rather than arrive as it
         from .relations import get_backend
+        if self.name not in ("aw", "bi") or get_backend(self.name) is not self:
+            raise TypeError(f"{self!r} is not a module backend and cannot be pickled")
         return get_backend, (self.name,)
 
     @property
@@ -259,29 +263,35 @@ class Lattice(Backend):
     W = l1(a) l1(b) prod_i F_i of product_bound, which no coefficient of
     any partial sum can exceed; the balanced base-2^k digits of each
     packed result are then exactly its coefficients (the argument is in
-    mul_terms).  The packed leg products are cached per k, as mul_mono is.
+    mul_terms).
+
+    Builds run at one slot width per instance, width (the class constant
+    WIDTH, 64), doubled only for a state whose carried bound would reach
+    2^(width-1) (EdgeElem).  Each table a build or a product reads is
+    packed once per width, lazily, on the instance (rows).
     """
 
-    __slots__ = ("backend", "weights", "factor", "normaliser", "_weight",
-                 "_scales", "_back", "_leg_l1", "_packed")
+    __slots__ = ("backend", "weights", "factor", "normaliser", "width",
+                 "letter_scale", "_weight", "_scales", "_back", "_tables")
 
+    WIDTH = 64
     one, zero = LaurentPoly.mono(0), LaurentPoly.zero()
 
     def __init__(self, backend):
         self.backend = backend
         self.weights, self.factor, self.normaliser = backend.rescaling
+        self.width = self.WIDTH
+        self.letter_scale = {}  # (side, letter) -> (w, d), see _alphabet
         self._weight = {}       # mono -> w(mono)
         self._scales = {}       # (w, d) -> factor^w * normaliser^d
-        self._back = {}         # (LaurentPoly, w, degree) -> published coefficient
-        self._leg_l1 = {}       # (m1, m2) -> sum of l1 norms over mul_mono(m1, m2)
-        self._packed = {}       # k -> {(m1, m2): ((m, P, s), ...)}
+        self._back = {}         # (coefficient, w, degree) -> published one
+        self._tables = {}       # (k, name) -> Rows; name -> its row l1 sums
         raw, den = backend._mul_mono_raw, self._scale(sum(self.weights) - 1, 0)
-        alphabets, scales = {}, {}
-        for side, alpha in backend.alphabets.items():
-            alphabets[side], scales[side] = self._alphabet(alpha)
+        alphabets = {side: self._alphabet(side, alpha)
+                     for side, alpha in backend.alphabets.items()}
         casimir_delta = []
         for gl, gr, c in backend.casimir_delta:
-            (wl, dl), (wr, dr) = scales["L"][gl], scales["R"][gr]
+            (wl, dl), (wr, dr) = self.letter_scale["L", gl], self.letter_scale["R", gr]
             casimir_delta.append((gl, gr, self.rescale(c, (), -wl - wr, 1 - dl - dr)))
         w, *rest = backend.relation
         super().__init__(
@@ -297,10 +307,10 @@ class Lattice(Backend):
             tuple(map(self.integral, (w * self.normaliser, *rest))))
         self._lattice = self
 
-    def _alphabet(self, alpha):
-        """alpha's letters and coaction table converted, and the scale
-        (w, d) of each of its letters in the lattice: factor^w *
-        normaliser^d."""
+    def _alphabet(self, side, alpha):
+        """alpha's letters and coaction table converted; the scale (w, d)
+        of each of its letters in the lattice, factor^w * normaliser^d,
+        goes into letter_scale."""
         scale = {}
         for g in alpha.letters:
             if alpha.pbw[g] == self.backend.casimir:
@@ -308,6 +318,7 @@ class Lattice(Backend):
             else:
                 (m, _), = alpha.pbw[g].items()
                 scale[g] = (self.weight(m), 0)
+            self.letter_scale[side, g] = scale[g]
 
         def convert(terms, w, d):
             return {m: self.rescale(c, (m,), w, d) for m, c in terms.items()}
@@ -317,7 +328,7 @@ class Lattice(Backend):
                for g, (w, d) in scale.items()}
         return Alphabet(alpha.letters,
                         {g: convert(alpha.pbw[g], w, d) for g, (w, d) in scale.items()},
-                        tau), scale
+                        tau)
 
     def weight(self, m):
         """w(m), memoised."""
@@ -354,41 +365,74 @@ class Lattice(Backend):
         return self.integral(
             c * self._scale(w - sum(map(self.weight, key)), d), key)
 
-    def from_lattice(self, x: AlgElem, degree) -> AlgElem:
-        """The published element x / normaliser^degree, for a lattice
-        element x made of degree generator factors: 1 for a generator, 2
-        for a product of two.  Residuals and generators repeat a few
-        coefficients many times, so each (coefficient, weight, degree) is
-        converted once."""
-        back = self._back
-        out = {}
-        for k, c in x.terms.items():
-            key = (c, sum(map(self.weight, k)), degree)
-            r = back.get(key)
+    def from_lattice(self, x, degree, offset=0) -> AlgElem:
+        """The published element x * factor^offset / normaliser^degree for
+        a lattice element x of degree generator factors (1 for a generator,
+        2 for a product of two; offset -w for a letter of scale (w, d)): an
+        edge-free packed EdgeElem, or an AlgElem.  Each coefficient, as its
+        canonical (P, s, k) with no empty low slot or as the polynomial
+        itself, is converted once per weight and degree: residuals and
+        generators repeat a few."""
+        if isinstance(x, EdgeElem):
+            k, mask, items = x.k, (1 << x.k) - 1, []
+            for key, (p, s) in x.terms.items():
+                while not p & mask:
+                    p >>= k
+                    s += 1
+                items.append((key, (p, s, k)))
+        else:
+            items = x.terms.items()
+        back, weight, out = self._back, self._weight, {}
+        for key, c in items:
+            try:
+                w = sum(map(weight.__getitem__, key), offset)
+            except KeyError:
+                w = sum(map(self.weight, key), offset)
+            r = back.get((c, w, degree))
             if r is None:
-                r = back[key] = RatQ(c) * self._scale(key[1], -degree)
-            out[k] = r
+                poly = _kron_unpack(*c) if type(c) is tuple else c
+                r = back[c, w, degree] = RatQ(poly) * self._scale(w, -degree)
+            out[key] = r
         return AlgElem(self.backend, x.arity, out)
 
-    def leg_l1(self, m1, m2):
-        """The sum of the l1 norms of the coefficients of mul_mono(m1, m2),
-        memoised."""
-        r = self._leg_l1.get((m1, m2))
-        if r is None:
-            r = self._leg_l1[(m1, m2)] = sum(
-                _l1(c) for _, c in self.mul_mono(m1, m2))
-        return r
+    def rows(self, k, name):
+        """The table name packed at slot width k (see Rows), by leg value:
+        "mul" ((m1, m2): mul_mono, legs one monomial), "casimir_delta" (the
+        seed), "coproduct" (m: delta_mono), "counit" (m: no legs, or no
+        row) and (side, "tau" | "delta" | "pbw") (a letter: its image)."""
+        t = self._tables.get((k, name))
+        if t is None:
+            t = self._tables[k, name] = Rows(k, functools.partial(self._rows, name),
+                                             self._tables.setdefault(name, {}))
+        return t
+
+    def _rows(self, name, x):
+        if name == "mul":
+            return self.mul_mono(*x)
+        if name in ("casimir_delta", "coproduct"):
+            pairs = self.casimir_delta if name == "casimir_delta" else self.delta_mono(x)
+            return [((a, b), c) for a, b, c in pairs]
+        if name == "counit":
+            return [((), self.one)] if self.counit_mono(x) else []
+        side, table = name
+        alpha = self.alphabets[side]
+        if table == "pbw":
+            return [((m,), c) for m, c in alpha.pbw[x].items()]
+        return [((m, g) if side == "R" else (g, m), c)
+                for u, g in getattr(alpha, table)[x] for m, c in u.items()]
 
     def product_bound(self, a, b):
         """W = l1(a) * l1(b) * prod_i F_i for two term dicts of one arity,
         where l1 of a term dict sums the l1 norms of its coefficients and
-        F_i = max(1, max over the distinct leg-i monomials x of a and y of b
-        of leg_l1(x, y)).  W bounds the absolute value of every coefficient
-        of every partial product and partial sum of mul_terms(a, b)."""
+        F_i = max(1, the largest l1 sum of mul_mono(x, y) over the distinct
+        leg-i monomials x of a and y of b).  W bounds the absolute value of
+        every coefficient of every partial product and partial sum of
+        mul_terms(a, b)."""
+        rows = self.rows(self.width, "mul")
         w = sum(map(_l1, a.values())) * sum(map(_l1, b.values()))
         for xs, ys in zip(zip(*a), zip(*b)):
             ys = set(ys)
-            w *= max(1, max(self.leg_l1(x, y) for x in set(xs) for y in ys))
+            w *= max(1, rows.factor({(x, y) for x in set(xs) for y in ys}))
         return w
 
     def mul_terms(self, a, b):
@@ -419,7 +463,7 @@ class Lattice(Backend):
         if not a or not b:
             return {}
         k = slot_width(self.product_bound(a, b))
-        legs = self._packed.setdefault(k, {})   # mul_mono, packed at k
+        legs = self.rows(k, "mul")
         pb = [(key, *_kron_pack(c, k)) for key, c in b.items()]
         out = {}
         for k1, c1 in a.items():
@@ -429,10 +473,7 @@ class Lattice(Backend):
                 # of one term; legs of several terms are expanded after it
                 p, s, key, split = p1 * p2, s1 + s2, [], []
                 for xy in zip(k1, k2):
-                    fr = legs.get(xy)
-                    if fr is None:
-                        fr = legs[xy] = tuple(
-                            (m, *_kron_pack(c, k)) for m, c in self.mul_mono(*xy))
+                    fr = legs[xy]
                     if len(fr) == 1:
                         (m, pf, sf), = fr
                         if pf != 1:
@@ -472,6 +513,15 @@ def slot_width(bound):
     return 32 * (bound.bit_length() // 32 + 1)
 
 
+def fit_width(bound, k):
+    """The least k * 2^j with 2^(k * 2^j - 1) > bound: the width k doubles
+    to before a packed value of l1 norm at most bound is unpacked or
+    tested for zero."""
+    while bound >> (k - 1):
+        k *= 2
+    return k
+
+
 def _l1(c):
     """The l1 norm of a Laurent polynomial: the sum of its |coefficients|."""
     return sum(map(abs, c.d.values()))
@@ -504,6 +554,30 @@ def _kron_unpack(p, s, k):
     return LaurentPoly(d, _trusted=True)
 
 
+class Rows(dict):
+    """One table of Lattice.rows packed at slot width k, filled on first
+    use: rows[x] is a tuple of (legs, P, s), the rows of leg value x from
+    source(x), an iterable of (legs, Laurent polynomial).  l1, shared by
+    the table's widths, memoises each leg value's row l1 sum."""
+
+    __slots__ = ("k", "source", "l1")
+
+    def __init__(self, k, source, l1):
+        super().__init__()
+        self.k, self.source, self.l1 = k, source, l1
+
+    def __missing__(self, x):
+        r = self[x] = tuple((legs, *_kron_pack(c, self.k)) for legs, c in self.source(x))
+        return r
+
+    def factor(self, values):
+        """The largest row l1 sum over a set of leg values, 0 for none:
+        substituting these values multiplies an l1 bound by it."""
+        for x in values.difference(self.l1):
+            self.l1[x] = sum(_l1(c) for _, c in self.source(x))
+        return max(map(self.l1.__getitem__, values), default=0)
+
+
 # ---------------------------------------------------------------------------
 # term-dict helpers
 # ---------------------------------------------------------------------------
@@ -526,34 +600,6 @@ def term_dict(*pairs):
     out = {}
     for k, c in pairs:
         acc_term(out, k, c)
-    return out
-
-
-def _keyed(d):
-    """Arity-1 term dict {mono: coeff} as a term dict on 1-tuple keys."""
-    return {(m,): c for m, c in d.items()}
-
-
-def leg_coproduct(backend, terms, i):
-    """Coproduct on the packed leg at index i of every key; keys grow by
-    one leg."""
-    dm = backend.delta_mono
-    out = {}
-    for k, c in terms.items():
-        head, tail = k[:i], k[i + 1:]
-        for ma, mb, dc in dm(k[i]):
-            acc_term(out, head + (ma, mb) + tail, c * dc)
-    return out
-
-
-def leg_counit(backend, terms, i):
-    """Counit on the packed leg at index i of every key; keys shrink by
-    one leg."""
-    eps = backend.counit_mono
-    out = {}
-    for k, c in terms.items():
-        if eps(k[i]):
-            acc_term(out, k[:i] + k[i + 1:], c)
     return out
 
 
@@ -629,7 +675,7 @@ class AlgElem:
 
     @staticmethod
     def casimir(backend):
-        return AlgElem(backend, 1, _keyed(backend.casimir))
+        return AlgElem(backend, 1, {(m,): c for m, c in backend.casimir.items()})
 
     # -- predicates ----------------------------------------------------------
 
@@ -696,15 +742,22 @@ class AlgElem:
         """Apply the coproduct to the factor at position pos (1-based);
         arity grows by one."""
         self._check_pos(pos)
-        return AlgElem(self.backend, self.arity + 1,
-                       leg_coproduct(self.backend, self.terms, pos - 1))
+        i, out, delta = pos - 1, {}, self.backend.delta_mono
+        for k, c in self.terms.items():
+            head, tail = k[:i], k[i + 1:]
+            for ma, mb, dc in delta(k[i]):
+                acc_term(out, head + (ma, mb) + tail, c * dc)
+        return AlgElem(self.backend, self.arity + 1, out)
 
     def counit(self, pos: int) -> "AlgElem":
         """Collapse the factor at position pos to its counit scalar;
         arity shrinks by one."""
         self._check_pos(pos)
-        return AlgElem(self.backend, self.arity - 1,
-                       leg_counit(self.backend, self.terms, pos - 1))
+        i, out = pos - 1, {}
+        for k, c in self.terms.items():
+            if self.backend.counit_mono(k[i]):
+                acc_term(out, k[:i] + k[i + 1:], c)
+        return AlgElem(self.backend, self.arity - 1, out)
 
     def _check_pos(self, pos):
         if not 1 <= pos <= self.arity:
@@ -776,22 +829,37 @@ def bracket_q(x: AlgElem, y: AlgElem, plus: RatQ, minus: RatQ) -> AlgElem:
 # ---------------------------------------------------------------------------
 
 class EdgeElem:
-    """Tensor element whose outer legs may still be coideal letters.
+    """Build state: a tensor element whose outer legs may still be coideal
+    letters, on packed lattice coefficients.
 
     Keys are flat tuples of legs: the first leg is a side-L letter name when
     has_l, the last one is a side-R letter name when has_r, and every other
     leg is a packed monomial in normal form.  The flags are uniform over all
     terms.  Each row of a letter's coaction or coproduct table keeps one
     letter, so the edge legs never become longer words.
+
+    The state lives in the backend's lattice, even for a published one:
+    each coefficient is a pair (P, s) at slot width k (Lattice.mul_terms),
+    and bound < 2^(k-1) is a certified l1 bound of the whole state.  It
+    starts as the seed's l1 norm; each step (_substitute) multiplies it by
+    the largest row l1 sum of the table it applies, over the leg values
+    present (letter rows, delta_mono, the counit, and each side's letter
+    PBW in finalize), repacking at twice k first if it would reach
+    2^(k-1).  finalize converts by the state's scale (w, d): the seed is
+    normaliser times the Casimir's coproduct, a letter factor^w *
+    normaliser^d times the published one.
     """
 
-    __slots__ = ("backend", "has_l", "has_r", "terms")
+    __slots__ = ("backend", "has_l", "has_r", "terms", "k", "bound", "scale")
 
-    def __init__(self, backend, has_l, has_r, terms):
+    def __init__(self, backend, has_l, has_r, terms, k, bound, scale):
         self.backend = backend
         self.has_l = has_l
         self.has_r = has_r
         self.terms = terms
+        self.k = k
+        self.bound = bound
+        self.scale = scale
 
     @property
     def arity(self):
@@ -805,10 +873,9 @@ class EdgeElem:
     def casimir_delta(backend) -> "EdgeElem":
         """The coproduct of the Casimir with both legs kept symbolic; this
         is the seed every multi-element construction starts from."""
-        terms = {}
-        for gl, gr, c in backend.casimir_delta:
-            acc_term(terms, (gl, gr), c)
-        return EdgeElem(backend, True, True, terms)
+        one = EdgeElem(backend, False, False, {("casimir",): (1, 0)},
+                       backend.lattice.width, 1, (0, 1))
+        return one._substitute(0, "casimir_delta", True, True)
 
     @staticmethod
     def letter(backend, side, name) -> "EdgeElem":
@@ -816,7 +883,9 @@ class EdgeElem:
         element, its leg kept symbolic."""
         if name not in backend.alphabets[side].letters:
             raise ValueError(f"{name} is not a side-{side} letter")
-        return EdgeElem(backend, side == "L", side == "R", {(name,): backend.one})
+        lat = backend.lattice
+        return EdgeElem(backend, side == "L", side == "R", {(name,): (1, 0)},
+                        lat.width, 1, lat.letter_scale[side, name])
 
     # -- coactions and coproducts on edges --------------------------------------
 
@@ -824,38 +893,52 @@ class EdgeElem:
         """Apply the right coaction to the rightmost leg (must be a letter);
         the ambient new leg goes into normal form, the retained leg stays
         a letter.  Arity grows by one."""
-        if not self.has_r:
-            raise CoactionError("rightmost leg is already in normal form")
         return self._edge_apply("R", "tau")
 
     def tau_l(self) -> "EdgeElem":
-        if not self.has_l:
-            raise CoactionError("leftmost leg is already in normal form")
         return self._edge_apply("L", "tau")
 
     def delta_r(self) -> "EdgeElem":
         """Coproduct on the rightmost leg, re-expressing the retained outer
         leg in the same alphabet (possible because the subalgebra is a
         coideal)."""
-        if not self.has_r:
-            raise CoactionError("rightmost leg is already in normal form")
         return self._edge_apply("R", "delta")
 
     def delta_l(self) -> "EdgeElem":
-        if not self.has_l:
-            raise CoactionError("leftmost leg is already in normal form")
         return self._edge_apply("L", "delta")
 
     def _edge_apply(self, side, table_name):
-        table = getattr(self.backend.alphabets[side], table_name)
-        out = {}
-        for k, c in self.terms.items():
-            rest, g = (k[:-1], k[-1]) if side == "R" else (k[1:], k[0])
-            for u, g2 in table[g]:
-                for m, cu in u.items():
-                    key = rest + (m, g2) if side == "R" else (g2, m) + rest
-                    acc_term(out, key, c * cu)
-        return EdgeElem(self.backend, self.has_l, self.has_r, out)
+        if not (self.has_r if side == "R" else self.has_l):
+            raise CoactionError(f"the side-{side} edge leg is already in normal form")
+        return self._substitute(self.arity - 1 if side == "R" else 0,
+                                (side, table_name), self.has_l, self.has_r)
+
+    def _substitute(self, i, table, has_l, has_r) -> "EdgeElem":
+        """Leg i of every key replaced by its rows in the packed table
+        (Lattice.rows): every step of a build runs here."""
+        lat, k, terms = self.backend.lattice, self.k, self.terms
+        bound = self.bound * lat.rows(k, table).factor({key[i] for key in terms})
+        if bound >> (k - 1):                # repack at twice the width
+            k = fit_width(bound, k)
+            terms = {key: _kron_pack(_kron_unpack(p, s, self.k), k)
+                     for key, (p, s) in terms.items()}
+        rows, out = lat.rows(k, table), {}
+        for key, (p, s) in terms.items():
+            head, tail = key[:i], key[i + 1:]
+            for legs, pr, sr in rows[key[i]]:
+                kk, pp, ss = head + legs + tail, p * pr, s + sr
+                cur = out.get(kk)
+                if cur is not None:
+                    p0, s0 = cur
+                    if s0 < ss:
+                        pp, ss = p0 + (pp << k * (ss - s0)), s0
+                    else:
+                        pp += p0 << k * (s0 - ss)
+                    if not pp:              # exact, as bound < 2^(k-1)
+                        del out[kk]
+                        continue
+                out[kk] = (pp, ss)
+        return EdgeElem(self.backend, has_l, has_r, out, k, bound, self.scale)
 
     # -- operations on interior (normal-form) legs ------------------------------
 
@@ -867,35 +950,32 @@ class EdgeElem:
 
     def delta_mid(self, pos) -> "EdgeElem":
         """Coproduct on an interior normal-form leg."""
-        return EdgeElem(self.backend, self.has_l, self.has_r,
-                        leg_coproduct(self.backend, self.terms, self._mid_index(pos)))
+        return self._substitute(self._mid_index(pos), "coproduct", self.has_l, self.has_r)
 
     def counit_mid(self, pos) -> "EdgeElem":
-        return EdgeElem(self.backend, self.has_l, self.has_r,
-                        leg_counit(self.backend, self.terms, self._mid_index(pos)))
+        return self._substitute(self._mid_index(pos), "counit", self.has_l, self.has_r)
 
     # -- finalization ------------------------------------------------------------
 
+    def expand(self) -> "EdgeElem":
+        """The edge letters expanded to normal form: an edge-free state."""
+        x = self
+        if x.has_l:
+            x = x._substitute(0, ("L", "pbw"), False, x.has_r)
+        if x.has_r:
+            x = x._substitute(x.arity - 1, ("R", "pbw"), False, False)
+        return x
+
     def finalize(self) -> AlgElem:
         """Expand the remaining edge letters to normal form, giving an
-        AlgElem."""
-        backend = self.backend
-        pbw = {side: {g: tuple(_keyed(d).items()) for g, d in alpha.pbw.items()}
-               for side, alpha in backend.alphabets.items()}
-        arity = self.arity
-        lo, hi = int(self.has_l), arity - self.has_r
-        unit = (((), backend.one),)
-        out = {}
-        for k, c in self.terms.items():
-            lparts = pbw["L"][k[0]] if self.has_l else unit
-            rparts = pbw["R"][k[-1]] if self.has_r else unit
-            mids = k[lo:hi]
-            for ml, cl in lparts:
-                head = ml + mids
-                ccl = c * cl
-                for mr, cr in rparts:
-                    acc_term(out, head + mr, ccl * cr)
-        return AlgElem(backend, arity, out)
+        AlgElem: unpacked over the lattice, converted by the state's scale
+        over a published backend."""
+        x, lat = self.expand(), self.backend.lattice
+        if self.backend is lat:
+            return AlgElem(lat, x.arity, {key: _kron_unpack(p, s, x.k)
+                                          for key, (p, s) in x.terms.items()})
+        w, d = self.scale
+        return lat.from_lattice(x, d, -w)
 
     def __repr__(self):
         return (f"EdgeElem({self.backend.name}, arity={self.arity}, "

@@ -55,7 +55,8 @@ def get_backend(name: str) -> Backend:
 # Every product a relation check needs is made in the backend's lattice
 # twin (pbw.Lattice) from the cached lattice builds, and cached here: a
 # cached product is normaliser^2 times the published one.  Only residuals
-# and the sides handed to callers go back to the published basis.
+# and the sides handed to callers go back to the published basis.  Both
+# caches key by the backend itself, not by its name.
 
 _PROD_CACHE: dict = {}
 
@@ -65,7 +66,7 @@ _RESIDUAL_CACHE: dict = {}
 
 
 def _prod(backend, n, ea, eb) -> AlgElem:
-    key = (backend.name, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
+    key = (backend, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
     p = _PROD_CACHE.get(key)
     if p is None:
         lat = backend.lattice
@@ -181,7 +182,7 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     if m == n:
         lhs, rhs = _lattice_sides(relation, A, B, n, backend)
         return lhs - rhs
-    key = (backend.name, relation, m, A2, B2)
+    key = (backend, relation, m, A2, B2)
     r = _RESIDUAL_CACHE.get(key)
     if r is None:
         lhs, rhs = _lattice_sides(relation, A2, B2, m, backend)

@@ -1,6 +1,7 @@
 """Extension processes: plans, builds, equivalences, empty-set scalars."""
 
 import itertools
+import pickle
 import re
 
 import pytest
@@ -10,8 +11,9 @@ from awbi import uq_engine as uq
 from awbi.extension import (IndexSet, MorphismPlan, build, derive_empty_scalar,
                             empty_generator, generator, make_plan, plan_derived,
                             plan_left, plan_mixed, plan_right)
-from awbi.pbw import AlgElem, CoactionError, bracket_q
-from awbi.qcoeff import ONE
+from awbi import relations
+from awbi.pbw import AlgElem, Backend, CoactionError, bracket_q
+from awbi.qcoeff import ONE, vpow
 
 AW, BI = uq.AW, osp.BI
 
@@ -225,6 +227,31 @@ def test_generator_cache_returns_same_object():
     a = generator(AW, 3, (1, 3))
     b = generator(AW, 3, (3, 1))
     assert a is b
+
+
+def test_caches_key_by_backend_identity():
+    # a mutant that keeps AW's name (AW's tables, the F coproduct scaled by
+    # q) gets its own generator and products, not AW's cached ones, with
+    # no clear_cache() in between; {1,2,3} is built with a letter
+    # coproduct, which the mutation changes ({1,3} uses the coaction only)
+    gen_delta = tuple(None if g is None else
+                      {k: c * vpow(2) if i == 0 else c for k, c in g.items()}
+                      for i, g in enumerate(AW.gen_delta))
+    mutant = Backend("aw", AW.field_names, AW.pack, AW.unpack, uq._mul_mono,
+                     gen_delta, AW.casimir, AW.alphabets, AW.casimir_delta,
+                     AW.rescaling, AW.relation)
+    A, B = (1, 2, 3), (1, 3)
+    g_aw, p_aw = generator(AW, 3, A), relations._prod(AW, 3, A, B)
+    g_mutant = generator(mutant, 3, A)
+    assert g_mutant.backend is mutant and g_mutant.terms != g_aw.terms
+    assert g_mutant == build(IndexSet(3, A), mutant)
+    assert relations._prod(mutant, 3, A, B).terms != p_aw.terms
+    assert generator(AW, 3, A) is g_aw
+    # the module backend still travels by name; the mutant refuses to
+    # travel rather than arrive as AW
+    assert pickle.loads(pickle.dumps(AW)) is AW
+    with pytest.raises(TypeError, match="not a module backend"):
+        pickle.dumps(mutant)
 
 
 def test_make_plan_dispatch():

@@ -129,3 +129,20 @@ def _all_orders_digest(n):
 
 def test_all_orders_build_digest():
     assert _all_orders_digest(6) == ALL_ORDERS_N6
+
+
+# every nonempty subset of [1;8] built by the right process, on aw and then
+# on bi, in itertools.combinations order: the arities 7 and 8 that the
+# all-orders digest above does not reach
+RIGHT_N8 = "b6e96594bf847d5b92613cc9db75e1687bca2befc78ed9ca903487b2fa1fefed"
+
+
+def test_right_process_build_digest_n8():
+    h = hashlib.sha256()
+    for backend in (AW, BI):
+        for r in range(1, 9):
+            for elems in itertools.combinations(range(1, 9), r):
+                g = build(IndexSet(8, elems), backend)
+                h.update(json.dumps([backend.name, list(elems), g.to_json()],
+                                    sort_keys=True).encode())
+    assert h.hexdigest() == RIGHT_N8

@@ -1,16 +1,19 @@
-"""Lattice products on Kronecker-packed coefficients: Lattice.mul_terms
-equals the term-dict product Backend.mul_terms on random and cancelling
-inputs, its slot width grows with the l1 bound across the 32-bit
-threshold, and its loop makes no LaurentPoly arithmetic."""
+"""Lattice products and builds on Kronecker-packed coefficients:
+Lattice.mul_terms equals the term-dict product Backend.mul_terms on random
+and cancelling inputs, its slot width grows with the l1 bound across the
+32-bit threshold, a build repacks at a doubled width before its carried
+bound reaches a slot, and neither a warm product nor a warm build makes
+LaurentPoly arithmetic."""
 
 import random
 
 import pytest
 
 from awbi import osp_engine as osp
+from awbi import pbw
 from awbi import uq_engine as uq
-from awbi.extension import generator
-from awbi.pbw import Backend, slot_width
+from awbi.extension import IndexSet, build, generator, make_plan, plan_right
+from awbi.pbw import Backend, EdgeElem, Lattice, slot_width
 from awbi.qcoeff import LaurentPoly
 
 from test_golden import STRAIGHTENING
@@ -149,10 +152,8 @@ def test_guard_widens_for_huge_coefficients(backend):
     assert lat.mul_terms(a, b) == want
 
 
-def test_warm_product_makes_no_polynomial_arithmetic(monkeypatch):
-    # with warm leg caches the packed loop multiplies and adds plain ints
-    # only; a silent fallback to the term-dict loop would count here
-    calls = {"mul": 0, "add": 0}
+def counted_polynomial_arithmetic(calls):
+    """LaurentPoly __mul__ and __add__ that count their calls in calls."""
     real_mul, real_add = LaurentPoly.__mul__, LaurentPoly.__add__
 
     def mul(x, y):
@@ -163,6 +164,14 @@ def test_warm_product_makes_no_polynomial_arithmetic(monkeypatch):
         calls["add"] += 1
         return real_add(x, y)
 
+    return mul, add
+
+
+def test_warm_product_makes_no_polynomial_arithmetic(monkeypatch):
+    # with warm leg caches the packed loop multiplies and adds plain ints
+    # only; a silent fallback to the term-dict loop would count here
+    calls = {"mul": 0, "add": 0}
+    mul, add = counted_polynomial_arithmetic(calls)
     for backend in (AW, BI):
         lat = backend.lattice
         ga, gb = generator(lat, 4, (1, 3)), generator(lat, 4, (2, 4))
@@ -178,3 +187,49 @@ def test_warm_product_makes_no_polynomial_arithmetic(monkeypatch):
         assert packed == {"mul": 0, "add": 0}, backend.name
         assert calls["mul"] > 0 and calls["add"] > 0
         calls.update(mul=0, add=0)
+
+
+def test_warm_build_makes_no_polynomial_arithmetic(monkeypatch):
+    # a build runs packed from the seed to the conversion: once its tables
+    # and the conversion memo are warm, an arity-6 build under orders with
+    # coactions, edge and interior coproducts makes no LaurentPoly
+    # arithmetic, in the lattice or in the published basis
+    calls = {"mul": 0, "add": 0}
+    mul, add = counted_polynomial_arithmetic(calls)
+    A = IndexSet(6, (1, 2, 4, 6))
+    for backend in (AW, BI, AW.lattice, BI.lattice):
+        for process in ("right", "left", "mixed:2", "derived"):
+            plan = make_plan(A, process)
+            want = build(A, backend, plan)
+            monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+            monkeypatch.setattr(LaurentPoly, "__add__", add)
+            got = build(A, backend, plan)
+            monkeypatch.undo()
+            assert got == want and not got.is_zero()
+            assert calls == {"mul": 0, "add": 0}, (backend, process)
+
+
+@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
+def test_build_repacks_past_a_narrow_slot_width(backend, monkeypatch):
+    # a fresh lattice at slot width 8: the carried bound of an arity-6
+    # build crosses 2^7, so the state is repacked at 16 (and on) before it
+    # is unpacked; the build and its conversion equal the default-width ones
+    widened = []
+
+    def counted_fit_width(bound, k):
+        widened.append((k, real_fit_width(bound, k)))
+        return widened[-1][1]
+
+    real_fit_width = pbw.fit_width
+    monkeypatch.setattr(pbw, "fit_width", counted_fit_width)
+    narrow = Lattice(backend)
+    narrow.width = 8
+    A = IndexSet(6, (1, 3, 4, 6))
+    assert build(A, narrow).terms == build(A, backend.lattice).terms
+    assert widened and all(k2 > k for k, k2 in widened)
+    state = EdgeElem.casimir_delta(narrow)
+    for kind, _ in plan_right(A).steps[1:]:
+        state = state.tau_r() if kind == "TauR" else state.delta_r()
+    x = state.expand()
+    assert 2 ** 7 <= x.bound < 2 ** (x.k - 1) and x.k > 8
+    assert narrow.from_lattice(x, 1) == build(A, backend)

@@ -1,5 +1,8 @@
 """Relation checks, the pattern decider, suites, and the scanner."""
 
+import itertools
+import re
+
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 import pytest
@@ -125,6 +128,35 @@ def test_theorem_pairs_match_predict_pattern():
                     assert tuple(sorted(sum((parts[i] for i in union), ()))) == got
         assert set(theorem_pairs(n)) == accepted, n
         assert len(accepted) == count, n
+
+
+def test_obstruction_words_up_to_length_10():
+    # the combinatorial half of the all-n minimality claim, over every
+    # a/b/c word of length at most 10 (88 573 words): a (A only), b (B
+    # only) and c (both) at consecutive legs; containment means no a or
+    # no b.  A word avoids the five standard-relation obstructions as
+    # subsequences exactly when the pattern decider accepts it or it is a
+    # containment word, and the eight commutation obstructions exactly
+    # when it is a containment word or fits a*b*a* or b*a*b*.
+    five = ("abc", "bca", "cab", "abab", "baba")
+    eight = five + ("acb", "bac", "cba")
+    # a word contains p as a subsequence when it matches p's letters with
+    # anything in between
+    as_subsequence = {p: re.compile(".*".join(p)) for p in eight}
+    nested = re.compile("a*b*a*|b*a*b*")
+
+    words = 0
+    for length in range(11):
+        for letters in itertools.product("abc", repeat=length):
+            word = "".join(letters)
+            A = tuple(i for i, x in enumerate(word, 1) if x != "b")
+            B = tuple(i for i, x in enumerate(word, 1) if x != "a")
+            containment = "a" not in word or "b" not in word
+            hits = {p for p in eight if as_subsequence[p].search(word)}
+            assert (not hits & set(five)) == (predict_pattern(A, B)[0] or containment), word
+            assert (not hits) == (containment or bool(nested.fullmatch(word))), word
+            words += 1
+    assert words == 88573
 
 
 def test_suite_theorem_B_n3():
