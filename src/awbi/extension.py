@@ -7,11 +7,12 @@ once, by MorphismPlan.  Building executes it on the backend Casimir, with
 the edge legs kept as coideal letters until the first coproduct on an
 interior leg normalizes the element, then pads with identity legs.  Every
 build runs in the backend's lattice (pbw.Lattice, over Z[v, v^-1]) on
-coefficients packed at the lattice's fixed slot width (64 bits), carrying
-one certified l1 bound that each step multiplies by the largest row l1
-sum of its table (pbw.EdgeElem); a state whose bound would reach the slot
-is repacked at twice the width first.  A finished build is unpacked, or
-converted to the published basis, once, in EdgeElem.finalize.
+coefficients packed at the lattice's slot width (64 bits), carrying one
+certified l1 bound that each step multiplies by the largest row l1 sum of
+its table (pbw.EdgeElem); a state whose bound would reach the slot is
+repacked at twice the width first.  A lattice build stays packed, the
+element relation checks multiply; a published one is converted once, in
+EdgeElem.finalize.
 
 Equality of the elements produced by different plans for the same set is a
 theorem (and a first-class test here), not an assumption.  It rests on one

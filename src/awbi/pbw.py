@@ -7,25 +7,24 @@ that the extension processes act on, whose edge legs are coideal letters.
 
 An AlgElem is a linear combination of length-n tensor monomials in a fixed
 normal order, with coefficients in its backend's ring: the field Q(v) in
-the published basis, Laurent polynomials in a Lattice.  Monomials are
-packed into single integers per tensor factor; term maps are plain dicts
-keyed by tuples of packed factors.  All values are immutable by convention
-and safe to share.
+the published basis, packed Laurent polynomials in a Lattice (EdgeElem, a
+subclass).  Monomials are packed into single integers per tensor factor;
+term maps are plain dicts keyed by tuples of packed factors.  All values
+are immutable by convention and safe to share.
 
-Generators are built, and relation-check products straightened, in each
-backend's Lattice twin, where the presentation tables, every intermediate
-build state, generators and products all have Laurent polynomial
-coefficients, so neither construction nor the product loop meets a
-denominator.  Conversion to the published basis happens only at the edge:
-a finished generator, a residual or a printed side.  Lattice arithmetic
-runs on Kronecker-packed coefficients: each Laurent polynomial becomes one
-int, its value at v = 2^k.  A product picks its slot width k from an l1
-bound that no coefficient of the result or of any partial sum can reach
-(Lattice.mul_terms).  A build runs at its lattice's fixed width and
-carries one certified l1 bound from the Casimir seed to the conversion,
-repacking at twice the width before the bound reaches 2^(k-1)
-(EdgeElem).  So every unpacking and zero test is exact; the published
-basis multiplies term by term (Backend.mul_terms).
+Generators are built, and relation checks run, in each backend's Lattice
+twin, where the presentation tables have Laurent polynomial coefficients,
+so neither construction nor a check meets a denominator.  Conversion to
+the published basis happens only at the edge: a finished published
+generator, a residual or a printed side.  Every lattice element is an
+edge-free EdgeElem on Kronecker-packed coefficients: each Laurent
+polynomial becomes one int, its value at v = 2^k, at one slot width k per
+element, and the element carries one certified l1 bound from the Casimir
+seed through builds, products, scalings, sums and the coproducts of the
+residual lift to the one conversion back.  An operation whose bound would
+reach 2^(k-1) first repacks its operands at a wider slot (fit_width), so
+every unpacking and zero test is exact.  The published basis multiplies
+term by term (Backend.mul_terms).
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as letters of a coideal alphabet (EdgeElem).  Every row of a
@@ -147,12 +146,17 @@ class Backend:
             self._mul_cache[key] = r
         return r
 
+    def element(self, arity, terms):
+        """The element of the given arity with terms, a term dict over this
+        backend's ring."""
+        return AlgElem(self, arity, terms)
+
     def mul_terms(self, a, b):
         """Product of two term dicts keyed by equal-length tuples of factor
         monomials, factor by factor under mul_mono; the parity generator
         carries all sign information, so there are no cross-factor signs.
         The published-basis product, and the tests' reference for the
-        packed loop that Lattice overrides it with."""
+        packed product of EdgeElem."""
         mul = self.mul_mono
         out = {}
         bterms = b.items()
@@ -255,20 +259,15 @@ class Lattice(Backend):
     A coefficient that is not integral raises ValueError naming the
     backend and the monomial.
 
-    Every product here, tables included, runs on Kronecker-packed
-    coefficients (mul_terms).  A coefficient c of valuation s becomes the
-    int P = (c v^-s)(2^k), so coefficient products and sums become int
-    products and shifted int sums.  The slot width k, a multiple of 32, is
-    chosen per product with 2^(k-1) above the l1 bound
-    W = l1(a) l1(b) prod_i F_i of product_bound, which no coefficient of
-    any partial sum can exceed; the balanced base-2^k digits of each
-    packed result are then exactly its coefficients (the argument is in
-    mul_terms).
-
-    Builds run at one slot width per instance, width (the class constant
-    WIDTH, 64), doubled only for a state whose carried bound would reach
-    2^(width-1) (EdgeElem).  Each table a build or a product reads is
-    packed once per width, lazily, on the instance (rows).
+    An element here is an edge-free EdgeElem: its coefficients packed at a
+    slot width k, with one certified l1 bound (see EdgeElem and element).
+    Every product, tables included, runs on that packing (EdgeElem); the
+    table derivations reach it through mul_terms, which packs its term
+    dicts and unpacks the product.  Elements start at one slot width per
+    instance, width (the class constant WIDTH, 64), and an operation whose
+    bound would reach 2^(k-1) repacks at a multiple of it first
+    (fit_width).  Each table a build or a product reads is packed once per
+    width, lazily, on the instance (rows).
     """
 
     __slots__ = ("backend", "weights", "factor", "normaliser", "width",
@@ -367,33 +366,31 @@ class Lattice(Backend):
 
     def from_lattice(self, x, degree, offset=0) -> AlgElem:
         """The published element x * factor^offset / normaliser^degree for
-        a lattice element x of degree generator factors (1 for a generator,
-        2 for a product of two; offset -w for a letter of scale (w, d)): an
-        edge-free packed EdgeElem, or an AlgElem.  Each coefficient, as its
-        canonical (P, s, k) with no empty low slot or as the polynomial
-        itself, is converted once per weight and degree: residuals and
-        generators repeat a few."""
-        if isinstance(x, EdgeElem):
-            k, mask, items = x.k, (1 << x.k) - 1, []
-            for key, (p, s) in x.terms.items():
-                while not p & mask:
-                    p >>= k
-                    s += 1
-                items.append((key, (p, s, k)))
-        else:
-            items = x.terms.items()
-        back, weight, out = self._back, self._weight, {}
-        for key, c in items:
+        an edge-free packed EdgeElem x of degree generator factors (1 for a
+        generator, 2 for a product of two; offset -w for a letter of scale
+        (w, d)).  Each coefficient, as its canonical (P, s, k), is
+        converted once per weight and degree: residuals and generators
+        repeat a few."""
+        k, back, weight, out = x.k, self._back, self._weight, {}
+        for key, (p, s) in x.terms.items():
             try:
                 w = sum(map(weight.__getitem__, key), offset)
             except KeyError:
                 w = sum(map(self.weight, key), offset)
-            r = back.get((c, w, degree))
+            c = (p, s, k, w, degree)
+            r = back.get(c)
             if r is None:
-                poly = _kron_unpack(*c) if type(c) is tuple else c
-                r = back[c, w, degree] = RatQ(poly) * self._scale(w, -degree)
+                r = back[c] = RatQ(_kron_unpack(p, s, k)) * self._scale(w, -degree)
             out[key] = r
         return AlgElem(self.backend, x.arity, out)
+
+    def element(self, arity, terms):
+        """The term dict of Laurent polynomials terms as an element: packed
+        at the instance's width, or wider if the l1 norm needs it."""
+        bound = sum(map(_l1, terms.values()))
+        k = _width(bound, self.width)
+        return EdgeElem(self, arity, {key: _kron_pack(c, k) for key, c in terms.items()},
+                        k, bound)
 
     def rows(self, k, name):
         """The table name packed at slot width k (see Rows), by leg value:
@@ -422,104 +419,45 @@ class Lattice(Backend):
                 for u, g in getattr(alpha, table)[x] for m, c in u.items()]
 
     def product_bound(self, a, b):
-        """W = l1(a) * l1(b) * prod_i F_i for two term dicts of one arity,
-        where l1 of a term dict sums the l1 norms of its coefficients and
-        F_i = max(1, the largest l1 sum of mul_mono(x, y) over the distinct
-        leg-i monomials x of a and y of b).  W bounds the absolute value of
-        every coefficient of every partial product and partial sum of
-        mul_terms(a, b)."""
+        """W = a.bound * b.bound * prod_i F_i for two elements of one arity,
+        where F_i = max(1, the largest l1 sum of mul_mono(x, y) over the
+        distinct leg-i monomials x of a and y of b).  W bounds the absolute
+        value of every coefficient of every partial product and partial sum
+        of their product (EdgeElem)."""
         rows = self.rows(self.width, "mul")
-        w = sum(map(_l1, a.values())) * sum(map(_l1, b.values()))
-        for xs, ys in zip(zip(*a), zip(*b)):
+        w = a.bound * b.bound
+        for xs, ys in zip(zip(*a.terms), zip(*b.terms)):
             ys = set(ys)
             w *= max(1, rows.factor({(x, y) for x in set(xs) for y in ys}))
         return w
 
     def mul_terms(self, a, b):
-        """Product of two term dicts of Laurent polynomials, on
-        Kronecker-packed coefficients: every product in the lattice,
-        tables included, runs here.  The result is that of the term-dict
-        loop, Backend.mul_terms(self, a, b).
-
-        A coefficient c = sum_e c_e v^e is held as the pair (P, s), with s
-        its valuation and P = sum_e c_e 2^(k(e - s)), that is c v^-s
-        evaluated at v = 2^k: one Python int whose slot e - s holds c_e.  A
-        monomial +-v^e packs to (+-1, e).  Products are (P1 P2, s1 + s2); a
-        sum first shifts the operand with the larger s left by k times the
-        difference.  Every step is exact integer arithmetic on the
-        evaluations, so the only question is whether the final evaluation
-        gives back its coefficients.  It does when each of them lies in
-        [-2^(k-1), 2^(k-1)): balanced base-2^k digits are unique, and
-        _kron_unpack reads them off from the lowest slot up.
-
-        The slot width is k = slot_width(W) for W = product_bound(a, b), so
-        W < 2^(k-1), and W bounds every coefficient: each term of the
-        product is c1 c2 times one term per leg of mul_mono(x_i, y_i), so
-        the l1 norm of each partial product is at most
-        l1(c1) l1(c2) prod_i F_i, and summing over all pairs of terms and
-        all choices of leg terms bounds the l1 norm of every partial sum,
-        hence each of its coefficients, by W.  Zero sums are kept until the
-        end and dropped there (P == 0 exactly when the sum is zero)."""
+        """Product of two term dicts of Laurent polynomials: both packed
+        (element), multiplied by the packed product of EdgeElem, and
+        unpacked.  The table derivations (delta_mono, the letter
+        coproducts) run here."""
         if not a or not b:
             return {}
-        k = slot_width(self.product_bound(a, b))
-        legs = self.rows(k, "mul")
-        pb = [(key, *_kron_pack(c, k)) for key, c in b.items()]
-        out = {}
-        for k1, c1 in a.items():
-            p1, s1 = _kron_pack(c1, k)
-            for k2, p2, s2 in pb:
-                # one pass over the legs for the common case, a leg product
-                # of one term; legs of several terms are expanded after it
-                p, s, key, split = p1 * p2, s1 + s2, [], []
-                for xy in zip(k1, k2):
-                    fr = legs[xy]
-                    if len(fr) == 1:
-                        (m, pf, sf), = fr
-                        if pf != 1:
-                            p *= pf
-                        s += sf
-                    else:
-                        split.append((len(key), fr))
-                        m = None
-                    key.append(m)
-                parts = [(key, p, s)]
-                for i, fr in split:
-                    parts = [(kk[:i] + [m] + kk[i + 1:], p * pf, s + sf)
-                             for kk, p, s in parts for m, pf, sf in fr]
-                for kk, p, s in parts:
-                    kk = tuple(kk)
-                    cur = out.get(kk)
-                    if cur is None:
-                        out[kk] = (p, s)
-                    else:
-                        p0, s0 = cur
-                        if s0 == s:
-                            out[kk] = (p0 + p, s)
-                        elif s0 < s:
-                            out[kk] = (p0 + (p << k * (s - s0)), s0)
-                        else:
-                            out[kk] = ((p0 << k * (s0 - s)) + p, s)
-        return {kk: _kron_unpack(p, s, k) for kk, (p, s) in out.items() if p}
+        n = len(next(iter(a)))
+        return self.element(n, a)._times(self.element(n, b)).laurent_terms()
 
     def __repr__(self):
         return f"Lattice({self.backend.name})"
 
 
-def slot_width(bound):
-    """The least multiple of 32, k, with 2^(k-1) > bound: the packing
-    width at which every coefficient of absolute value at most bound fits
-    one balanced base-2^k digit."""
-    return 32 * (bound.bit_length() // 32 + 1)
-
-
 def fit_width(bound, k):
-    """The least k * 2^j with 2^(k * 2^j - 1) > bound: the width k doubles
-    to before a packed value of l1 norm at most bound is unpacked or
-    tested for zero."""
+    """The least k * 2^j with 2^(k * 2^j - 1) > bound: the slot width k
+    doubles to before an element of l1 bound at most bound is formed, so
+    that each of its coefficients fits one balanced base-2^k digit."""
     while bound >> (k - 1):
         k *= 2
     return k
+
+
+def _width(bound, k):
+    """k, or fit_width(bound, k) if bound has reached 2^(k-1): the one
+    place a repack is decided."""
+    return fit_width(bound, k) if bound >> (k - 1) else k
 
 
 def _l1(c):
@@ -528,8 +466,8 @@ def _l1(c):
 
 
 def _kron_pack(c, k):
-    """The Laurent polynomial c as (P, s) at slot width k (see
-    Lattice.mul_terms)."""
+    """The Laurent polynomial c as (P, s) at slot width k (see EdgeElem):
+    canonical, its lowest slot not empty."""
     d = c.d
     if len(d) == 1:
         (s, p), = d.items()
@@ -552,6 +490,29 @@ def _kron_unpack(p, s, k):
         p = (p - x) >> k
         s += 1
     return LaurentPoly(d, _trusted=True)
+
+
+def _accumulate(out, key, p, s, k, mask):
+    """out[key] += (p, s) for canonical values at slot width k, mask 2^k - 1:
+    a zero sum is dropped, an emptied low slot stripped.  Both can happen
+    only at equal valuations, and are exact while every partial sum has l1
+    norm below 2^(k-1)."""
+    cur = out.get(key)
+    if cur is not None:
+        p0, s0 = cur
+        if s0 < s:
+            p, s = p0 + (p << k * (s - s0)), s0
+        elif s0 > s:
+            p += p0 << k * (s0 - s)
+        else:
+            p += p0
+            if not p:
+                del out[key]
+                return
+            while not p & mask:
+                p >>= k
+                s += 1
+    out[key] = (p, s)
 
 
 class Rows(dict):
@@ -648,20 +609,23 @@ class AlgElem:
 
     # -- constructors -------------------------------------------------------
 
+    # each builds through backend.element: an AlgElem in the published
+    # basis, a packed EdgeElem in a Lattice
+
     @staticmethod
     def zero(backend, arity):
-        return AlgElem(backend, arity, {})
+        return backend.element(arity, {})
 
     @staticmethod
     def one(backend, arity):
         key = (backend.identity,) * arity
-        return AlgElem(backend, arity, {key: backend.one})
+        return backend.element(arity, {key: backend.one})
 
     @staticmethod
     def scalar(backend, arity, c: RatQ):
         if c.is_zero():
             return AlgElem.zero(backend, arity)
-        return AlgElem(backend, arity, {(backend.identity,) * arity: c})
+        return backend.element(arity, {(backend.identity,) * arity: c})
 
     @staticmethod
     def mono(backend, exps, coeff=None):
@@ -671,11 +635,11 @@ class AlgElem:
             coeff = backend.one
         if coeff.is_zero():
             return AlgElem.zero(backend, 1)
-        return AlgElem(backend, 1, {(backend.pack(*exps),): coeff})
+        return backend.element(1, {(backend.pack(*exps),): coeff})
 
     @staticmethod
     def casimir(backend):
-        return AlgElem(backend, 1, {(m,): c for m, c in backend.casimir.items()})
+        return backend.element(1, {(m,): c for m, c in backend.casimir.items()})
 
     # -- predicates ----------------------------------------------------------
 
@@ -731,8 +695,12 @@ class AlgElem:
     # -- multiplication --------------------------------------------------------
 
     def __mul__(self, other):
-        """Normal-form product (see Backend.mul_terms)."""
+        """Normal-form product: term by term here (Backend.mul_terms), on
+        packed coefficients in a Lattice (EdgeElem._times)."""
         self._check(other)
+        return self._times(other)
+
+    def _times(self, other):
         return AlgElem(self.backend, self.arity,
                        self.backend.mul_terms(self.terms, other.terms))
 
@@ -825,47 +793,67 @@ def bracket_q(x: AlgElem, y: AlgElem, plus: RatQ, minus: RatQ) -> AlgElem:
 
 
 # ---------------------------------------------------------------------------
-# EdgeElem: build state with symbolic edge legs
+# EdgeElem: lattice elements, and build states with symbolic edge legs
 # ---------------------------------------------------------------------------
 
-class EdgeElem:
-    """Build state: a tensor element whose outer legs may still be coideal
-    letters, on packed lattice coefficients.
+class EdgeElem(AlgElem):
+    """A tensor element on packed lattice coefficients: every element of a
+    Lattice, which takes the AlgElem operations, and every build state,
+    whose outer legs may still be coideal letters.
 
     Keys are flat tuples of legs: the first leg is a side-L letter name when
     has_l, the last one is a side-R letter name when has_r, and every other
-    leg is a packed monomial in normal form.  The flags are uniform over all
-    terms.  Each row of a letter's coaction or coproduct table keeps one
-    letter, so the edge legs never become longer words.
+    leg is a packed monomial in normal form.  Each row of a letter's
+    coaction or coproduct table keeps one letter, so the edge legs never
+    become longer words.
 
-    The state lives in the backend's lattice, even for a published one:
-    each coefficient is a pair (P, s) at slot width k (Lattice.mul_terms),
-    and bound < 2^(k-1) is a certified l1 bound of the whole state.  It
-    starts as the seed's l1 norm; each step (_substitute) multiplies it by
-    the largest row l1 sum of the table it applies, over the leg values
-    present (letter rows, delta_mono, the counit, and each side's letter
-    PBW in finalize), repacking at twice k first if it would reach
-    2^(k-1).  finalize converts by the state's scale (w, d): the seed is
-    normaliser times the Casimir's coproduct, a letter factor^w *
-    normaliser^d times the published one.
+    The coefficients live in the backend's lattice, even for a build over a
+    published backend.  A coefficient c = sum_e c_e v^e of valuation s is
+    (P, s) with P = sum_e c_e 2^(k(e - s)): c v^-s at v = 2^k, one int
+    whose slot e - s holds c_e, at the element's slot width k.  v -> 2^k is
+    a ring morphism, so a product is (P1 P2, s1 + s2) and a sum shifts the
+    operand of larger s left by k times the difference, exactly.  The
+    balanced base-2^k digits of P are c's coefficients while those lie in
+    [-2^(k-1), 2^(k-1)) (_kron_unpack).  Stored values are canonical, their
+    lowest slot not empty, so equal elements at one width have equal terms.
+
+    bound < 2^(k-1) certifies the element's l1 norm, the sum of its
+    coefficients' l1 norms, so every unpacking and zero test is exact.  A
+    sum adds the bounds, scale(c) multiplies by l1(c), a product takes
+    Lattice.product_bound, pad keeps it, and a substitution (_substitute:
+    the seed, coactions, coproducts, counits, each side's letter PBW in
+    expand) multiplies it by the largest row l1 sum of its table over the
+    leg values present.  An operation whose bound would reach 2^(k-1)
+    repacks its operands at fit_width first.  A build over a published
+    backend converts in finalize by seed_scale, the scale (w, d) of where it
+    started: the seed is normaliser times the Casimir's coproduct, a letter
+    factor^w * normaliser^d times the published one.
     """
 
-    __slots__ = ("backend", "has_l", "has_r", "terms", "k", "bound", "scale")
+    __slots__ = ("has_l", "has_r", "k", "bound", "seed_scale")
 
-    def __init__(self, backend, has_l, has_r, terms, k, bound, scale):
-        self.backend = backend
-        self.has_l = has_l
-        self.has_r = has_r
-        self.terms = terms
+    def __init__(self, backend, arity, terms, k, bound, has_l=False, has_r=False,
+                 seed_scale=None):
+        super().__init__(backend, arity, terms)
         self.k = k
         self.bound = bound
-        self.scale = scale
+        self.has_l = has_l
+        self.has_r = has_r
+        self.seed_scale = seed_scale
 
-    @property
-    def arity(self):
-        for k in self.terms:
-            return len(k)
-        return self.has_l + self.has_r
+    def _at(self, k):
+        """The same element at slot width k >= self.k."""
+        if k == self.k:
+            return self
+        return EdgeElem(self.backend, self.arity,
+                        {key: _kron_pack(_kron_unpack(p, s, self.k), k)
+                         for key, (p, s) in self.terms.items()},
+                        k, self.bound, self.has_l, self.has_r, self.seed_scale)
+
+    def laurent_terms(self):
+        """The terms with each coefficient unpacked to a LaurentPoly."""
+        k = self.k
+        return {key: _kron_unpack(p, s, k) for key, (p, s) in self.terms.items()}
 
     # -- constructors ---------------------------------------------------------
 
@@ -873,9 +861,9 @@ class EdgeElem:
     def casimir_delta(backend) -> "EdgeElem":
         """The coproduct of the Casimir with both legs kept symbolic; this
         is the seed every multi-element construction starts from."""
-        one = EdgeElem(backend, False, False, {("casimir",): (1, 0)},
-                       backend.lattice.width, 1, (0, 1))
-        return one._substitute(0, "casimir_delta", True, True)
+        one = EdgeElem(backend, 1, {("casimir",): (1, 0)}, backend.lattice.width, 1,
+                       seed_scale=(0, 1))
+        return one._substitute(0, "casimir_delta", 2, True, True)
 
     @staticmethod
     def letter(backend, side, name) -> "EdgeElem":
@@ -884,8 +872,119 @@ class EdgeElem:
         if name not in backend.alphabets[side].letters:
             raise ValueError(f"{name} is not a side-{side} letter")
         lat = backend.lattice
-        return EdgeElem(backend, side == "L", side == "R", {(name,): (1, 0)},
-                        lat.width, 1, lat.letter_scale[side, name])
+        return EdgeElem(backend, 1, {(name,): (1, 0)}, lat.width, 1,
+                        side == "L", side == "R", lat.letter_scale[side, name])
+
+    # -- the ring operations of a lattice element --------------------------------
+
+    def __eq__(self, other):
+        if not (isinstance(other, EdgeElem) and self.backend is other.backend
+                and self.arity == other.arity and self.has_l == other.has_l
+                and self.has_r == other.has_r):
+            return False
+        k = max(self.k, other.k)
+        return self._at(k).terms == other._at(k).terms
+
+    def _combine(self, other, sign):
+        self._check(other)
+        bound = self.bound + other.bound
+        k = _width(bound, max(self.k, other.k))
+        out, mask = dict(self._at(k).terms), (1 << k) - 1
+        for key, (p, s) in other._at(k).terms.items():
+            _accumulate(out, key, sign * p, s, k, mask)
+        return EdgeElem(self.backend, self.arity, out, k, bound)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, c: LaurentPoly):
+        """c times the element, canonical: the lowest coefficient of a
+        product is the nonzero product of the lowest ones."""
+        if c.is_zero():
+            return AlgElem.zero(self.backend, self.arity)
+        if c.is_one():
+            return self
+        bound = self.bound * _l1(c)
+        x = self._at(_width(bound, self.k))
+        pc, sc = _kron_pack(c, x.k)
+        return EdgeElem(self.backend, self.arity,
+                        {key: (p * pc, s + sc) for key, (p, s) in x.terms.items()},
+                        x.k, bound)
+
+    def _times(self, other):
+        """The normal-form product, one pass over pairs of terms: each is
+        P1 P2 times one row of mul_mono per leg (Lattice.rows).  Each term
+        of the product is c1 c2 times one term per leg of mul_mono(x_i, y_i),
+        so its l1 norm is at most l1(c1) l1(c2) prod_i F_i, and summing over
+        all pairs and leg terms bounds every partial sum by
+        W = Lattice.product_bound: each is exact at _width(W)."""
+        lat = self.backend
+        if not self.terms or not other.terms:
+            return AlgElem.zero(lat, self.arity)
+        bound = lat.product_bound(self, other)
+        k = _width(bound, max(self.k, other.k))
+        legs, mask = lat.rows(k, "mul"), (1 << k) - 1
+        pb = [(key, p, s) for key, (p, s) in other._at(k).terms.items()]
+        out = {}
+        for k1, (p1, s1) in self._at(k).terms.items():
+            for k2, p2, s2 in pb:
+                # one pass over the legs for the common case, a leg product
+                # of one term; legs of several terms are expanded after it
+                p, s, key, split = p1 * p2, s1 + s2, [], []
+                for xy in zip(k1, k2):
+                    fr = legs[xy]
+                    if len(fr) == 1:
+                        (m, pf, sf), = fr
+                        if pf != 1:
+                            p *= pf
+                        s += sf
+                    else:
+                        split.append((len(key), fr))
+                        m = None
+                    key.append(m)
+                parts = [(key, p, s)]
+                for i, fr in split:
+                    parts = [(kk[:i] + [m] + kk[i + 1:], p * pf, s + sf)
+                             for kk, p, s in parts for m, pf, sf in fr]
+                for kk, p, s in parts:
+                    kk = tuple(kk)
+                    cur = out.get(kk)
+                    if cur is not None:     # _accumulate, inlined
+                        p0, s0 = cur
+                        if s0 < s:
+                            p, s = p0 + (p << k * (s - s0)), s0
+                        elif s0 > s:
+                            p += p0 << k * (s0 - s)
+                        else:
+                            p += p0
+                            if not p:
+                                del out[kk]
+                                continue
+                            while not p & mask:
+                                p >>= k
+                                s += 1
+                    out[kk] = (p, s)
+        return EdgeElem(lat, self.arity, out, k, bound)
+
+    def coproduct(self, pos: int) -> "EdgeElem":
+        self._check_pos(pos)
+        return self._substitute(pos - 1, "coproduct", self.arity + 1)
+
+    def counit(self, pos: int) -> "EdgeElem":
+        self._check_pos(pos)
+        return self._substitute(pos - 1, "counit", self.arity - 1)
+
+    def pad(self, left: int, right: int) -> "EdgeElem":
+        if left == 0 and right == 0:
+            return self
+        idl = (self.backend.identity,) * left
+        idr = (self.backend.identity,) * right
+        return EdgeElem(self.backend, self.arity + left + right,
+                        {idl + key + idr: c for key, c in self.terms.items()},
+                        self.k, self.bound)
 
     # -- coactions and coproducts on edges --------------------------------------
 
@@ -911,34 +1010,39 @@ class EdgeElem:
         if not (self.has_r if side == "R" else self.has_l):
             raise CoactionError(f"the side-{side} edge leg is already in normal form")
         return self._substitute(self.arity - 1 if side == "R" else 0,
-                                (side, table_name), self.has_l, self.has_r)
+                                (side, table_name), self.arity + 1, self.has_l, self.has_r)
 
-    def _substitute(self, i, table, has_l, has_r) -> "EdgeElem":
+    def _substitute(self, i, table, arity, has_l=False, has_r=False) -> "EdgeElem":
         """Leg i of every key replaced by its rows in the packed table
-        (Lattice.rows): every step of a build runs here."""
-        lat, k, terms = self.backend.lattice, self.k, self.terms
-        bound = self.bound * lat.rows(k, table).factor({key[i] for key in terms})
-        if bound >> (k - 1):                # repack at twice the width
-            k = fit_width(bound, k)
-            terms = {key: _kron_pack(_kron_unpack(p, s, self.k), k)
-                     for key, (p, s) in terms.items()}
-        rows, out = lat.rows(k, table), {}
-        for key, (p, s) in terms.items():
+        (Lattice.rows), giving an element of the given arity: every build
+        step, and each coproduct and counit of a lattice element, runs
+        here."""
+        lat = self.backend.lattice
+        bound = self.bound * lat.rows(self.k, table).factor({key[i] for key in self.terms})
+        x = self._at(_width(bound, self.k))
+        k, out = x.k, {}
+        rows, mask = lat.rows(k, table), (1 << k) - 1
+        for key, (p, s) in x.terms.items():
             head, tail = key[:i], key[i + 1:]
             for legs, pr, sr in rows[key[i]]:
                 kk, pp, ss = head + legs + tail, p * pr, s + sr
                 cur = out.get(kk)
-                if cur is not None:
+                if cur is not None:         # _accumulate, inlined
                     p0, s0 = cur
                     if s0 < ss:
                         pp, ss = p0 + (pp << k * (ss - s0)), s0
-                    else:
+                    elif s0 > ss:
                         pp += p0 << k * (s0 - ss)
-                    if not pp:              # exact, as bound < 2^(k-1)
-                        del out[kk]
-                        continue
+                    else:
+                        pp += p0
+                        if not pp:
+                            del out[kk]
+                            continue
+                        while not pp & mask:
+                            pp >>= k
+                            ss += 1
                 out[kk] = (pp, ss)
-        return EdgeElem(self.backend, has_l, has_r, out, k, bound, self.scale)
+        return EdgeElem(self.backend, arity, out, k, bound, has_l, has_r, self.seed_scale)
 
     # -- operations on interior (normal-form) legs ------------------------------
 
@@ -950,10 +1054,12 @@ class EdgeElem:
 
     def delta_mid(self, pos) -> "EdgeElem":
         """Coproduct on an interior normal-form leg."""
-        return self._substitute(self._mid_index(pos), "coproduct", self.has_l, self.has_r)
+        return self._substitute(self._mid_index(pos), "coproduct", self.arity + 1,
+                                self.has_l, self.has_r)
 
     def counit_mid(self, pos) -> "EdgeElem":
-        return self._substitute(self._mid_index(pos), "counit", self.has_l, self.has_r)
+        return self._substitute(self._mid_index(pos), "counit", self.arity - 1,
+                                self.has_l, self.has_r)
 
     # -- finalization ------------------------------------------------------------
 
@@ -961,20 +1067,19 @@ class EdgeElem:
         """The edge letters expanded to normal form: an edge-free state."""
         x = self
         if x.has_l:
-            x = x._substitute(0, ("L", "pbw"), False, x.has_r)
+            x = x._substitute(0, ("L", "pbw"), x.arity, False, x.has_r)
         if x.has_r:
-            x = x._substitute(x.arity - 1, ("R", "pbw"), False, False)
+            x = x._substitute(x.arity - 1, ("R", "pbw"), x.arity)
         return x
 
     def finalize(self) -> AlgElem:
-        """Expand the remaining edge letters to normal form, giving an
-        AlgElem: unpacked over the lattice, converted by the state's scale
-        over a published backend."""
+        """Expand the remaining edge letters to normal form: over a lattice
+        the packed element itself, over a published backend converted by
+        seed_scale."""
         x, lat = self.expand(), self.backend.lattice
         if self.backend is lat:
-            return AlgElem(lat, x.arity, {key: _kron_unpack(p, s, x.k)
-                                          for key, (p, s) in x.terms.items()})
-        w, d = self.scale
+            return x
+        w, d = self.seed_scale
         return lat.from_lattice(x, d, -w)
 
     def __repr__(self):

@@ -5,9 +5,11 @@ relation holds, curated regression suites, and the exhaustive scanner.
 
 A failing relation is informative, not an error: the report keeps the
 residual (left minus right side in normal form) for inspection.  Both
-relations go through one routine that multiplies generators built in the
-backend's lattice (pbw.Lattice), over Z[v, v^-1]; only the residual and
-the sides handed to callers are converted back to the published basis.
+relations go through one routine that works in the backend's lattice
+(pbw.Lattice), over Z[v, v^-1], on packed elements (pbw.EdgeElem) from the
+generators through the products, scalings and sums of each side to the
+residual and its lift; only the residual and the sides handed to callers
+are converted back to the published basis.
 
 That routine decides each pair at its compressed arity
 (extension.compress): every set a relation uses (A, B, their
@@ -53,15 +55,16 @@ def get_backend(name: str) -> Backend:
 # -- cached generator products, straightened in the lattice ------------------
 
 # Every product a relation check needs is made in the backend's lattice
-# twin (pbw.Lattice) from the cached lattice builds, and cached here: a
-# cached product is normaliser^2 times the published one.  Only residuals
-# and the sides handed to callers go back to the published basis.  Both
-# caches key by the backend itself, not by its name.
+# twin (pbw.Lattice) from the cached packed lattice builds, and cached here
+# packed, with its carried l1 bound: a cached product is normaliser^2 times
+# the published one.  Only residuals and the sides handed to callers go
+# back to the published basis.  Both caches key by the backend itself, not
+# by its name.
 
 _PROD_CACHE: dict = {}
 
-# Lattice residuals of compressed pairs that stand for longer ones, keyed
-# by (backend, relation, arity, A, B) of the compressed pair.
+# Packed lattice residuals of compressed pairs that stand for longer ones,
+# keyed by (backend, relation, arity, A, B) of the compressed pair.
 _RESIDUAL_CACHE: dict = {}
 
 
@@ -176,7 +179,8 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     """lhs - rhs of the relation in the lattice, decided at the compressed
     arity and lifted back to n (see the module docstring).  A pair that
     does not compress goes through _lattice_sides directly; the residual
-    of a compressed pair that stands for longer ones is cached."""
+    of a compressed pair that stands for longer ones is cached, and a zero
+    one lifts to zero at once."""
     A2, B2, runs, left, right = extension.compress(A, B, n)
     m = len(runs)
     if m == n:
@@ -187,6 +191,8 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     if r is None:
         lhs, rhs = _lattice_sides(relation, A2, B2, m, backend)
         r = _RESIDUAL_CACHE[key] = lhs - rhs
+    if r.is_zero():
+        return AlgElem.zero(backend.lattice, n)
     for _, j in extension.widen(runs):
         r = r.coproduct(j)
     return r.pad(left, right)

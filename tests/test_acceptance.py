@@ -13,7 +13,10 @@ the 40 extras and the scan counts are pinned.
 
 import itertools
 import random
+import re
 import time
+
+import pytest
 
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
@@ -159,6 +162,16 @@ def _is_containment(A, B):
     return set(A) <= set(B) or set(B) <= set(A)
 
 
+# (holds_star, holds_comm) of every pair of scan(n), by (backend name, n):
+# criterion 8's aw scans are kept here for the obstruction test
+_VERDICTS = {}
+
+
+def _keep_verdicts(reports, n, backend):
+    _VERDICTS[backend.name, n] = {(r.A, r.B): (r.holds_star, r.holds_comm)
+                                  for r in reports}
+
+
 def _minimality_scan(n, bound, literal=False):
     """Scan all 4^n ordered pairs at n on aw and check, from the per-pair
     reports, that the relation set is the pattern set plus the containment
@@ -167,6 +180,7 @@ def _minimality_scan(n, bound, literal=False):
     t0 = time.perf_counter()
     reports, summary = scan(n, AW)
     elapsed = time.perf_counter() - t0
+    _keep_verdicts(reports, n, AW)
     star_set = {(r.A, r.B) for r in reports if r.holds_star}
     predicted = {(r.A, r.B) for r in reports if r.pattern_predicted}
     containment = {(r.A, r.B) for r in reports if _is_containment(r.A, r.B)}
@@ -251,6 +265,34 @@ def test_criterion_08_minimality_scan_n5():
     assert (summary["star_holds"], summary["comm_holds"],
             summary["pattern_predicted"]) == (734, 614, 694)
     assert len(star_set) == 734 and len(predicted) == 694
+
+
+# the minimal failing words of a pair over a (A only), b (B only) and c
+# (both), legs in neither dropped (ROADMAP item 1)
+STAR_OBSTRUCTIONS = ("abc", "bca", "cab", "abab", "baba")
+COMM_OBSTRUCTIONS = STAR_OBSTRUCTIONS + ("acb", "bac", "cba")
+
+
+def _avoids(word, obstructions):
+    """No obstruction occurs in word as a subsequence."""
+    return not any(re.search(".*".join(p), word) for p in obstructions)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=("aw", "bi"))
+def test_scan_verdicts_are_obstruction_avoidance(backend):
+    # scan(n) for n <= 5: the standard relation holds exactly when the
+    # pair's word avoids the five standard obstructions, commutation
+    # exactly when it avoids all eight; criterion 8's aw scans are reused
+    for n in range(1, 6):
+        if (backend.name, n) not in _VERDICTS:
+            _keep_verdicts(scan(n, backend)[0], n, backend)
+        verdicts = _VERDICTS[backend.name, n]
+        assert len(verdicts) == 4 ** n
+        for (A, B), (star, comm) in verdicts.items():
+            word = "".join("abc"[(i in B) + (i in A and i in B)] for i in range(1, n + 1)
+                           if i in A or i in B)
+            assert star == _avoids(word, STAR_OBSTRUCTIONS), (n, A, B, word)
+            assert comm == _avoids(word, COMM_OBSTRUCTIONS), (n, A, B, word)
 
 
 def test_criterion_09_hopf_comodule_axioms():

@@ -16,6 +16,7 @@ import pytest
 from awbi.cli import main
 from awbi.extension import IndexSet, build, generator, make_plan
 from awbi.osp_engine import BI
+from awbi.relations import check_comm, check_star, subsets
 from awbi.uq_engine import AW
 
 GOLDEN = {
@@ -146,3 +147,26 @@ def test_right_process_build_digest_n8():
                 h.update(json.dumps([backend.name, list(elems), g.to_json()],
                                     sort_keys=True).encode())
     assert h.hexdigest() == RIGHT_N8
+
+
+# the published residual of every pair at n=4 that fails the standard
+# relation or commutation (200 of 1024 checks), on aw and then on bi, in
+# pair order: coefficients that the scan digests, which carry only term
+# counts, do not pin
+FAILING_RESIDUALS_N4 = "c739b869394bad73bd8ebead0ab2bc19aa797299ef6095dcd271e7a872ef1eff"
+
+
+def test_failing_residuals_digest_n4():
+    h, failing = hashlib.sha256(), 0
+    for backend in (AW, BI):
+        for A in subsets(4):
+            for B in subsets(4):
+                for check, relation in ((check_star, "star"), (check_comm, "comm")):
+                    rep = check(A, B, 4, backend)
+                    if not getattr(rep, "holds_" + relation):
+                        failing += 1
+                        residual = getattr(rep, "residual_" + relation)
+                        h.update(json.dumps([backend.name, list(A), list(B), relation,
+                                             residual.to_json()], sort_keys=True).encode())
+    assert failing == 200
+    assert h.hexdigest() == FAILING_RESIDUALS_N4

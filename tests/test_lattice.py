@@ -12,7 +12,7 @@ from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.extension import generator
 from awbi.numoracle import DEFAULT_POINTS, RepSpec, evaluate, mat_mul
-from awbi.pbw import AlgElem
+from awbi.pbw import AlgElem, EdgeElem
 from awbi.qcoeff import ONE, LaurentPoly, RatQ
 from awbi.relations import (_prod, check_star, comm_sides,
                             fundamental_families, subsets)
@@ -28,7 +28,8 @@ def test_lattice_products_convert_back_to_published_products():
         for A in subsets(n):
             for B in subsets(n):
                 lattice = _prod(backend, n, A, B)
-                assert all(isinstance(c, LaurentPoly) for c in lattice.terms.values())
+                assert isinstance(lattice, EdgeElem) and all(
+                    type(p) is int for p, _ in lattice.terms.values())
                 ab, ba = comm_sides(A, B, n, backend)
                 ga, gb = generator(backend, n, A), generator(backend, n, B)
                 assert ab == ga * gb, (backend.name, A, B)
@@ -36,11 +37,11 @@ def test_lattice_products_convert_back_to_published_products():
 
 
 def test_lattice_monomials_multiply_in_the_lattice_ring():
-    # AlgElem.mono defaults to the lattice's one, a LaurentPoly, so a
-    # product of lattice monomials reads back as the published product
+    # AlgElem.mono defaults to the lattice's one, a LaurentPoly, packed, so
+    # a product of lattice monomials reads back as the published product
     lat = AW.lattice
     e, f = AlgElem.mono(lat, (0, 0, 1)), AlgElem.mono(lat, (1, 0, 0))
-    assert e.terms == {(lat.pack(0, 0, 1),): lat.one}
+    assert e.laurent_terms() == {(lat.pack(0, 0, 1),): lat.one}
     assert lat.from_lattice(e * f, 0) == lat.from_lattice(e, 0) * lat.from_lattice(f, 0)
 
 

@@ -1,20 +1,22 @@
-"""Lattice products and builds on Kronecker-packed coefficients:
-Lattice.mul_terms equals the term-dict product Backend.mul_terms on random
-and cancelling inputs, its slot width grows with the l1 bound across the
-32-bit threshold, a build repacks at a doubled width before its carried
-bound reaches a slot, and neither a warm product nor a warm build makes
-LaurentPoly arithmetic."""
+"""The lattice ring on Kronecker-packed coefficients: products, sums,
+differences, scalings, coproducts and padding of packed elements equal the
+LaurentPoly reference (Backend.mul_terms and the AlgElem operations on
+Laurent polynomial terms) on random and cancelling inputs, the slot width
+grows with the l1 bound across 2^(k-1) in products, builds and relation
+checks, and neither a warm product, a warm build nor a warm relation check
+makes LaurentPoly arithmetic."""
 
 import random
 
 import pytest
 
 from awbi import osp_engine as osp
-from awbi import pbw
+from awbi import pbw, relations
 from awbi import uq_engine as uq
 from awbi.extension import IndexSet, build, generator, make_plan, plan_right
-from awbi.pbw import Backend, EdgeElem, Lattice, slot_width
+from awbi.pbw import AlgElem, Backend, EdgeElem, Lattice, fit_width
 from awbi.qcoeff import LaurentPoly
+from awbi.relations import check_comm, check_star, subsets
 
 from test_golden import STRAIGHTENING
 
@@ -61,7 +63,8 @@ def test_packed_product_equals_term_dict_product(backend, arity):
         b = random_terms(rng, backend, arity, rng.randint(1, 8))
         want = reference(lat, a, b)
         assert lat.mul_terms(a, b) == want
-        assert max_coeff(want) <= lat.product_bound(a, b)
+        assert max_coeff(want) <= lat.product_bound(lat.element(arity, a),
+                                                    lat.element(arity, b))
         exps.update(e for c in a.values() for e in c.d)
     # the inputs carried negative, zero and positive exponents
     assert min(exps) < 0 < max(exps) and 0 in exps
@@ -98,13 +101,15 @@ def test_empty_factor(backend):
     assert lat.mul_terms({}, {}) == {}
 
 
-def test_slot_width_rule():
-    assert slot_width(0) == slot_width(1) == slot_width(2 ** 31 - 1) == 32
-    assert slot_width(2 ** 31) == slot_width(2 ** 63 - 1) == 64
-    assert slot_width(2 ** 63) == 96
+def test_fit_width_rule():
+    assert fit_width(0, 64) == fit_width(1, 64) == fit_width(2 ** 63 - 1, 64) == 64
+    assert fit_width(2 ** 63, 64) == fit_width(2 ** 127 - 1, 64) == 128
+    assert fit_width(2 ** 127, 64) == 256
+    assert fit_width(2 ** 7, 8) == 16 and fit_width(2 ** 31, 32) == 64
     for w in (5, 2 ** 31 - 1, 2 ** 31, 10 ** 40):
-        k = slot_width(w)
-        assert k % 32 == 0 and 2 ** (k - 1) > w and (k == 32 or 2 ** (k - 33) <= w)
+        for k0 in (8, 32, 64):
+            k = fit_width(w, k0)
+            assert k % k0 == 0 and 2 ** (k - 1) > w and (k == k0 or 2 ** (k // 2 - 1) <= w)
 
 
 def scaled(terms, factor):
@@ -113,28 +118,39 @@ def scaled(terms, factor):
 
 @pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
 def test_guard_crosses_the_32_bit_threshold(backend):
-    lat = backend.lattice
+    # a fresh lattice whose elements start at slot width 32
+    lat = Lattice(backend)
+    lat.width = 32
     n = 3
-    a, b = generator(lat, n, (1, 2)).terms, generator(lat, n, (2, 3)).terms
-    w = lat.product_bound(a, b)
-    assert slot_width(w) == 32
+    a, b = (generator(backend.lattice, n, X).laurent_terms() for X in ((1, 2), (2, 3)))
+    pa, pb = lat.element(n, a), lat.element(n, b)
+    w = lat.product_bound(pa, pb)
+    assert fit_width(w, 32) == 32 and (pa * pb).k == 32
     # scaling a by x scales the bound by exactly x: just below and just
     # above 2^31 the width is 32 and 64, and the product stays exact
     below = (2 ** 31 - 1) // w
     for x, k in ((below, 32), (below + 1, 64)):
         ax = scaled(a, x)
-        assert lat.product_bound(ax, b) == w * x
-        assert slot_width(lat.product_bound(ax, b)) == k
-        got = lat.mul_terms(ax, b)
-        assert got == reference(lat, ax, b)
-        assert got == scaled(lat.mul_terms(a, b), x)
+        pax = lat.element(n, ax)
+        assert lat.product_bound(pax, pb) == w * x
+        got = pax * pb
+        assert got.k == k
+        assert got.laurent_terms() == reference(lat, ax, b)
+        assert got.laurent_terms() == scaled((pa * pb).laurent_terms(), x)
     # one group-like term each attains the bound: at 2^31 a 32-bit slot
     # would read the coefficient back as -2^31
     key, key2 = (group_like(backend, 1),), (group_like(backend, 2),)
     for c, k in ((2 ** 31 - 1, 32), (2 ** 31, 64), (-(2 ** 31) - 5, 64)):
-        a, b = {key: LaurentPoly.mono(-2, c)}, {key: LaurentPoly.mono(5)}
-        assert slot_width(lat.product_bound(a, b)) == k
-        assert lat.mul_terms(a, b) == {key2: LaurentPoly.mono(3, c)}
+        got = lat.element(1, {key: LaurentPoly.mono(-2, c)}) * lat.element(
+            1, {key: LaurentPoly.mono(5)})
+        assert got.k == k
+        assert got.laurent_terms() == {key2: LaurentPoly.mono(3, c)}
+    # a sum and a scaling that reach 2^31 repack first
+    half = lat.element(1, {key: LaurentPoly.mono(0, 2 ** 30)})
+    assert half.k == 32
+    for got, want in ((half + half, LaurentPoly.mono(0, 2 ** 31)),
+                      (half.scale(LaurentPoly.mono(1, 2)), LaurentPoly.mono(1, 2 ** 31))):
+        assert got.k == 64 and got.laurent_terms() == {key: want}
 
 
 @pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
@@ -145,10 +161,11 @@ def test_guard_widens_for_huge_coefficients(backend):
          for k, c in random_terms(rng, backend, 2, 6).items()}
     b = {k: c * LaurentPoly.mono(-1, 10 ** 40 - 7)
          for k, c in random_terms(rng, backend, 2, 6).items()}
-    k = slot_width(lat.product_bound(a, b))
-    assert k >= 288      # 10^80 needs 266 bits
+    got = lat.element(2, a) * lat.element(2, b)
+    assert got.k >= 288      # 10^80 needs 266 bits
     want = reference(lat, a, b)
     assert max_coeff(want) > 2 ** 256
+    assert got.laurent_terms() == want
     assert lat.mul_terms(a, b) == want
 
 
@@ -175,13 +192,14 @@ def test_warm_product_makes_no_polynomial_arithmetic(monkeypatch):
     for backend in (AW, BI):
         lat = backend.lattice
         ga, gb = generator(lat, 4, (1, 3)), generator(lat, 4, (2, 4))
+        la, lb = ga.laurent_terms(), gb.laurent_terms()
         want = ga * gb                      # warms the leg caches
-        assert want.terms == reference(lat, ga.terms, gb.terms)
+        assert want.laurent_terms() == reference(lat, la, lb)
         monkeypatch.setattr(LaurentPoly, "__mul__", mul)
         monkeypatch.setattr(LaurentPoly, "__add__", add)
         got = ga * gb
         packed = dict(calls)
-        reference(lat, ga.terms, gb.terms)  # the term-dict loop is counted
+        reference(lat, la, lb)              # the term-dict loop is counted
         monkeypatch.undo()
         assert got == want and not got.is_zero()
         assert packed == {"mul": 0, "add": 0}, backend.name
@@ -225,7 +243,7 @@ def test_build_repacks_past_a_narrow_slot_width(backend, monkeypatch):
     narrow = Lattice(backend)
     narrow.width = 8
     A = IndexSet(6, (1, 3, 4, 6))
-    assert build(A, narrow).terms == build(A, backend.lattice).terms
+    assert build(A, narrow).laurent_terms() == build(A, backend.lattice).laurent_terms()
     assert widened and all(k2 > k for k, k2 in widened)
     state = EdgeElem.casimir_delta(narrow)
     for kind, _ in plan_right(A).steps[1:]:
@@ -233,3 +251,105 @@ def test_build_repacks_past_a_narrow_slot_width(backend, monkeypatch):
     x = state.expand()
     assert 2 ** 7 <= x.bound < 2 ** (x.k - 1) and x.k > 8
     assert narrow.from_lattice(x, 1) == build(A, backend)
+
+
+def assert_certified(x, want):
+    """x is the packed form of the reference element want, canonical, with
+    a bound that covers its l1 norm and fits its slot width."""
+    assert isinstance(x, EdgeElem) and x.arity == want.arity
+    assert x.laurent_terms() == want.terms
+    assert sum(map(pbw._l1, want.terms.values())) <= x.bound < 2 ** (x.k - 1)
+    assert all(p & ((1 << x.k) - 1) for p, _ in x.terms.values())
+
+
+@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_packed_ring_equals_term_dict_ring(backend, arity):
+    # sums, differences, scalings, coproducts, counits, padding and
+    # products of random packed elements against the same operations of
+    # AlgElem on their Laurent polynomial terms, the reference; b cancels
+    # two of a's terms in a + b
+    lat = backend.lattice
+    rng = random.Random(f"ring-{backend.name}-{arity}")
+    for _ in range(10):
+        a = random_terms(rng, backend, arity, rng.randint(2, 8))
+        b = random_terms(rng, backend, arity, rng.randint(1, 8))
+        b.update((key, -a[key]) for key in list(a)[:2])
+        pa, pb = lat.element(arity, a), lat.element(arity, b)
+        ra, rb = AlgElem(lat, arity, a), AlgElem(lat, arity, b)
+        c, pos = random_poly(rng), rng.randint(1, arity)
+        for got, want in ((pa + pb, ra + rb), (pa - pb, ra - rb), (pa - pa, ra - ra),
+                          (pa.scale(c), ra.scale(c)),
+                          (pa.coproduct(pos), ra.coproduct(pos)),
+                          (pa.counit(pos), ra.counit(pos)),
+                          (pa.pad(1, 2), ra.pad(1, 2)),
+                          (pa * pb, AlgElem(lat, arity, reference(lat, a, b)))):
+            assert_certified(got, want)
+        assert (pa - pa).is_zero() and pa + pb == pb + pa
+
+
+def test_sum_strips_an_emptied_low_slot():
+    # (1 + 2v) + (-1 + v^3) = 2v + v^3: the lowest slot empties, and the
+    # sum is stored as the canonical (2 + 2^(2k), 1)
+    lat = AW.lattice
+    key = (AW.identity,)
+    x = lat.element(1, {key: LaurentPoly({0: 1, 1: 2})})
+    y = lat.element(1, {key: LaurentPoly({0: -1, 3: 1})})
+    k = lat.width
+    assert (x + y).terms == {key: (2 + (1 << 2 * k), 1)}
+    assert x + y == lat.element(1, {key: LaurentPoly({1: 2, 3: 1})})
+
+
+def test_warm_relation_checks_make_no_polynomial_arithmetic(monkeypatch):
+    # once a pair's generators, products, residual and conversions are
+    # cached, check_star and check_comm make no LaurentPoly arithmetic:
+    # ((1,3),(2,3)) at n=3 does not compress, ((1,2,3),(1,2,4)) at n=4
+    # compresses to ((1,2),(1,3)) at n=3; both fail both relations, so
+    # their residuals are lifted and converted
+    calls = {"mul": 0, "add": 0}
+    mul, add = counted_polynomial_arithmetic(calls)
+    for backend in (AW, BI):
+        for A, B, n in (((1, 3), (2, 3), 3), ((1, 2, 3), (1, 2, 4), 4)):
+            for check, relation in ((check_star, "star"), (check_comm, "comm")):
+                want = getattr(check(A, B, n, backend), "residual_" + relation)
+                monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+                monkeypatch.setattr(LaurentPoly, "__add__", add)
+                got = getattr(check(A, B, n, backend), "residual_" + relation)
+                monkeypatch.undo()
+                assert got == want and not got.is_zero()
+                assert calls == {"mul": 0, "add": 0}, (backend, A, B, relation)
+
+
+@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
+def test_relation_checks_repack_past_a_narrow_slot_width(backend, monkeypatch):
+    # every pair at n=3 on a fresh lattice at slot width 8: builds,
+    # products, sums and the lift drive their bounds across 2^7 and repack,
+    # and every residual equals the default-width one
+    n = 3
+    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
+
+    def residuals():
+        return [(check_star(A, B, n, backend).residual_star,
+                 check_comm(A, B, n, backend).residual_comm) for A, B in pairs]
+
+    want = residuals()
+    widened = []
+
+    def counted_fit_width(bound, k):
+        widened.append((k, real_fit_width(bound, k)))
+        return widened[-1][1]
+
+    real_fit_width = pbw.fit_width
+    narrow = Lattice(backend)
+    narrow.width = 8
+    monkeypatch.setattr(pbw, "fit_width", counted_fit_width)
+    monkeypatch.setattr(backend, "_lattice", narrow)
+    relations.clear_caches()
+    try:
+        got = residuals()
+    finally:
+        monkeypatch.undo()
+        relations.clear_caches()
+    assert got == want
+    assert any(k == 8 for k, _ in widened) and all(k2 > k for k, k2 in widened)
+    assert any(not r.is_zero() for pair in got for r in pair)

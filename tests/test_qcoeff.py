@@ -251,6 +251,5 @@ def test_engine_path_runs_no_gcd(monkeypatch):
     monkeypatch.setattr(qcoeff, "_int_gcd_poly", refuse)
     for lat in lattices:
         g = {A: build(IndexSet(4, A), lat) for A in subsets(4)}
-        assert all(isinstance(c, LaurentPoly)
-                   for x in g.values() for c in x.terms.values())
+        assert all(type(p) is int for x in g.values() for p, _ in x.terms.values())
         assert not (g[(1, 2)] * g[(2, 3)]).is_zero()
