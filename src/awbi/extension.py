@@ -25,6 +25,16 @@ at both ends; widen(runs) is the schedule of coproducts that doubles the
 legs back to their run lengths.  The derived order is the right process
 on the compressed set followed by widen (plan_derived), and the relation
 checks lift a compressed residual by the same schedule (relations).
+
+Next to it stands the deletion lemma: the counit on leg i,
+id^(i-1) (x) epsilon (x) id^(n-i), sends the generator of every set X to
+the generator of X without i at arity n - 1, the legs above i renumbered
+down.  It is checked, not proved: test_lattice::test_counit_deletes_a_leg
+checks it on both lattices for every X in [1;n], n <= 6, and every leg.
+A proof would run the counit axioms of the coproduct and of both
+coactions along the construction; until one is written down, every use
+of the lemma (the minimality statement at every n, README) rests on that
+range.
 """
 
 from __future__ import annotations

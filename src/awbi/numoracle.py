@@ -8,7 +8,7 @@ form, so their matrices agree by construction.  Two kinds of check are
 independent: failing pairs, whose matrices show that the sides differ as
 operators, and products of separately evaluated generators, which audit
 the straightening (criterion 8 at n=4, the lattice oracle test, demo 06).
-ROADMAP item 3 covers the rest.
+ROADMAP item 5 covers the rest.
 
 Only the U_q(sl2) backend has representations here; conventions for the
 super side vary and the symbolic checks remain the ground truth there.

@@ -23,8 +23,8 @@ element, and the element carries one certified l1 bound from the Casimir
 seed through builds, products, scalings, sums and the coproducts of the
 residual lift to the one conversion back.  An operation whose bound would
 reach 2^(k-1) first repacks its operands at a wider slot (fit_width), so
-every unpacking and zero test is exact.  The published basis multiplies
-term by term (Backend.mul_terms).
+every unpacking and zero test is exact.  The published basis, and the
+lattice's table derivations, multiply term by term (Backend.mul_terms).
 
 Coactions are only ever applied to edge legs that are still stored
 symbolically as letters of a coideal alphabet (EdgeElem).  Every row of a
@@ -155,8 +155,9 @@ class Backend:
         """Product of two term dicts keyed by equal-length tuples of factor
         monomials, factor by factor under mul_mono; the parity generator
         carries all sign information, so there are no cross-factor signs.
-        The published-basis product, and the tests' reference for the
-        packed product of EdgeElem."""
+        The published-basis product, the one a Lattice derives its tables
+        through (delta_mono, the letter coproducts), and the tests'
+        reference for the packed product of EdgeElem."""
         mul = self.mul_mono
         out = {}
         bterms = b.items()
@@ -193,6 +194,26 @@ class Backend:
         not group-like has exponent 0."""
         return not any(e and g is not None
                        for e, g in zip(self.unpack(m), self.gen_delta))
+
+    def _rows(self, name, x):
+        """The rows of leg value x in the table name, as (legs, coeff) pairs
+        over this backend's ring: "mul" ((m1, m2): mul_mono, legs one
+        monomial), "casimir_delta" (the seed), "coproduct" (m: delta_mono),
+        "counit" (m: no legs, or no row) and (side, "tau" | "delta" |
+        "pbw") (a letter: its image)."""
+        if name == "mul":
+            return self.mul_mono(*x)
+        if name in ("casimir_delta", "coproduct"):
+            pairs = self.casimir_delta if name == "casimir_delta" else self.delta_mono(x)
+            return [((a, b), c) for a, b, c in pairs]
+        if name == "counit":
+            return [((), self.one)] if self.counit_mono(x) else []
+        side, table = name
+        alpha = self.alphabets[side]
+        if table == "pbw":
+            return [((m,), c) for m, c in alpha.pbw[x].items()]
+        return [((m, g) if side == "R" else (g, m), c)
+                for u, g in getattr(alpha, table)[x] for m, c in u.items()]
 
     def mono_pretty(self, m):
         bits = [name if e == 1 else f"{name}^{e}"
@@ -261,12 +282,12 @@ class Lattice(Backend):
 
     An element here is an edge-free EdgeElem: its coefficients packed at a
     slot width k, with one certified l1 bound (see EdgeElem and element).
-    Every product, tables included, runs on that packing (EdgeElem); the
-    table derivations reach it through mul_terms, which packs its term
-    dicts and unpacks the product.  Elements start at one slot width per
-    instance, width (the class constant WIDTH, 64), and an operation whose
-    bound would reach 2^(k-1) repacks at a multiple of it first
-    (fit_width).  Each table a build or a product reads is packed once per
+    Every product of elements runs on that packing (EdgeElem._times); the
+    table derivations (delta_mono, the letter coproducts) run the inherited
+    term-dict loop, Backend.mul_terms, once per monomial, memoised.
+    Elements start at one slot width per instance, width (the class
+    constant WIDTH, 64), and an operation whose bound would reach 2^(k-1)
+    repacks at a multiple of it first (fit_width).  Each table a build or a product reads is packed once per
     width, lazily, on the instance (rows).
     """
 
@@ -393,30 +414,13 @@ class Lattice(Backend):
                         k, bound)
 
     def rows(self, k, name):
-        """The table name packed at slot width k (see Rows), by leg value:
-        "mul" ((m1, m2): mul_mono, legs one monomial), "casimir_delta" (the
-        seed), "coproduct" (m: delta_mono), "counit" (m: no legs, or no
-        row) and (side, "tau" | "delta" | "pbw") (a letter: its image)."""
+        """The table name of Backend._rows packed at slot width k (see
+        Rows), by leg value."""
         t = self._tables.get((k, name))
         if t is None:
             t = self._tables[k, name] = Rows(k, functools.partial(self._rows, name),
                                              self._tables.setdefault(name, {}))
         return t
-
-    def _rows(self, name, x):
-        if name == "mul":
-            return self.mul_mono(*x)
-        if name in ("casimir_delta", "coproduct"):
-            pairs = self.casimir_delta if name == "casimir_delta" else self.delta_mono(x)
-            return [((a, b), c) for a, b, c in pairs]
-        if name == "counit":
-            return [((), self.one)] if self.counit_mono(x) else []
-        side, table = name
-        alpha = self.alphabets[side]
-        if table == "pbw":
-            return [((m,), c) for m, c in alpha.pbw[x].items()]
-        return [((m, g) if side == "R" else (g, m), c)
-                for u, g in getattr(alpha, table)[x] for m, c in u.items()]
 
     def product_bound(self, a, b):
         """W = a.bound * b.bound * prod_i F_i for two elements of one arity,
@@ -430,16 +434,6 @@ class Lattice(Backend):
             ys = set(ys)
             w *= max(1, rows.factor({(x, y) for x in set(xs) for y in ys}))
         return w
-
-    def mul_terms(self, a, b):
-        """Product of two term dicts of Laurent polynomials: both packed
-        (element), multiplied by the packed product of EdgeElem, and
-        unpacked.  The table derivations (delta_mono, the letter
-        coproducts) run here."""
-        if not a or not b:
-            return {}
-        n = len(next(iter(a)))
-        return self.element(n, a)._times(self.element(n, b)).laurent_terms()
 
     def __repr__(self):
         return f"Lattice({self.backend.name})"
@@ -666,23 +660,26 @@ class AlgElem:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
+    # +, -, unary - and the Hopf structure are defined once, here; a ring
+    # supplies the loops _combine, scale, _times and _substitute
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc_term(out, k, c)
-        return AlgElem(self.backend, self.arity, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc_term(out, k, -c)
-        return AlgElem(self.backend, self.arity, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return AlgElem(self.backend, self.arity,
-                       {k: -c for k, c in self.terms.items()})
+        return self.scale(-self.backend.one)
+
+    def _combine(self, other, sign):
+        """self + sign * other, term by term."""
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc_term(out, k, c if sign > 0 else -c)
+        return AlgElem(self.backend, self.arity, out)
 
     def scale(self, c: RatQ):
         if c.is_zero():
@@ -710,26 +707,28 @@ class AlgElem:
         """Apply the coproduct to the factor at position pos (1-based);
         arity grows by one."""
         self._check_pos(pos)
-        i, out, delta = pos - 1, {}, self.backend.delta_mono
-        for k, c in self.terms.items():
-            head, tail = k[:i], k[i + 1:]
-            for ma, mb, dc in delta(k[i]):
-                acc_term(out, head + (ma, mb) + tail, c * dc)
-        return AlgElem(self.backend, self.arity + 1, out)
+        return self._substitute(pos - 1, "coproduct", self.arity + 1)
 
     def counit(self, pos: int) -> "AlgElem":
         """Collapse the factor at position pos to its counit scalar;
         arity shrinks by one."""
         self._check_pos(pos)
-        i, out = pos - 1, {}
-        for k, c in self.terms.items():
-            if self.backend.counit_mono(k[i]):
-                acc_term(out, k[:i] + k[i + 1:], c)
-        return AlgElem(self.backend, self.arity - 1, out)
+        return self._substitute(pos - 1, "counit", self.arity - 1)
 
     def _check_pos(self, pos):
         if not 1 <= pos <= self.arity:
             raise ValueError(f"position {pos} out of range 1..{self.arity}")
+
+    def _substitute(self, i, table, arity):
+        """Leg i of every key replaced by its rows in the table
+        (Backend._rows), term by term, giving an element of the given
+        arity."""
+        rows, out = self.backend._rows, {}
+        for k, c in self.terms.items():
+            head, tail = k[:i], k[i + 1:]
+            for legs, rc in rows(table, k[i]):
+                acc_term(out, head + legs + tail, c * rc)
+        return AlgElem(self.backend, arity, out)
 
     def pad(self, left: int, right: int) -> "AlgElem":
         """Tensor identity legs onto both sides."""
@@ -886,19 +885,12 @@ class EdgeElem(AlgElem):
         return self._at(k).terms == other._at(k).terms
 
     def _combine(self, other, sign):
-        self._check(other)
         bound = self.bound + other.bound
         k = _width(bound, max(self.k, other.k))
         out, mask = dict(self._at(k).terms), (1 << k) - 1
         for key, (p, s) in other._at(k).terms.items():
             _accumulate(out, key, sign * p, s, k, mask)
         return EdgeElem(self.backend, self.arity, out, k, bound)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
 
     def scale(self, c: LaurentPoly):
         """c times the element, canonical: the lowest coefficient of a
@@ -968,14 +960,6 @@ class EdgeElem(AlgElem):
                                 s += 1
                     out[kk] = (p, s)
         return EdgeElem(lat, self.arity, out, k, bound)
-
-    def coproduct(self, pos: int) -> "EdgeElem":
-        self._check_pos(pos)
-        return self._substitute(pos - 1, "coproduct", self.arity + 1)
-
-    def counit(self, pos: int) -> "EdgeElem":
-        self._check_pos(pos)
-        return self._substitute(pos - 1, "counit", self.arity - 1)
 
     def pad(self, left: int, right: int) -> "EdgeElem":
         if left == 0 and right == 0:
