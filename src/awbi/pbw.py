@@ -157,7 +157,8 @@ class Backend:
         carries all sign information, so there are no cross-factor signs.
         The published-basis product, the one a Lattice derives its tables
         through (delta_mono, the letter coproducts), and the tests'
-        reference for the packed product of EdgeElem."""
+        reference for the lattice's one product loop, EdgeElem._times,
+        which splits keys at the middle leg; this loop stays leg by leg."""
         mul = self.mul_mono
         out = {}
         bterms = b.items()
@@ -282,12 +283,14 @@ class Lattice(Backend):
 
     An element here is an edge-free EdgeElem: its coefficients packed at a
     slot width k, with one certified l1 bound (see EdgeElem and element).
-    Every product of elements runs on that packing (EdgeElem._times); the
-    table derivations (delta_mono, the letter coproducts) run the inherited
-    term-dict loop, Backend.mul_terms, once per monomial, memoised.
-    Elements start at one slot width per instance, width (the class
-    constant WIDTH, 64), and an operation whose bound would reach 2^(k-1)
-    repacks at a multiple of it first (fit_width).  Each table a build or a product reads is packed once per
+    Every product of elements runs on that packing, in one loop that splits
+    keys at the middle leg and straightens each pair of half keys once per
+    product (EdgeElem._times); the table derivations (delta_mono, the
+    letter coproducts) run the inherited term-dict loop, Backend.mul_terms,
+    once per monomial, memoised.  Elements start at one slot width per
+    instance, width (the class constant WIDTH, 64), and an operation whose
+    bound would reach 2^(k-1) repacks at a multiple of it first
+    (fit_width).  Each table a build or a product reads is packed once per
     width, lazily, on the instance (rows).
     """
 
@@ -507,6 +510,29 @@ def _accumulate(out, key, p, s, k, mask):
                 p >>= k
                 s += 1
     out[key] = (p, s)
+
+
+def _halves(x, h):
+    """x's terms split at leg h: lists of (right half's index, P, s), one
+    per distinct left half key[:h], then the distinct left and right halves."""
+    lefts, rights = {}, {}
+    for key, (p, s) in x.terms.items():
+        j = rights.setdefault(key[h:], len(rights))
+        lefts.setdefault(key[:h], []).append((j, p, s))
+    return list(lefts.values()), list(lefts), list(rights)
+
+
+def _half_products(legs, xs, ys):
+    """[[x * y for y in ys] for x in xs] for half keys, each product a list
+    of (half key, P, s) expanded from one row of legs per leg; the rows of
+    a leg have distinct monomials, so these half keys are distinct."""
+    def times(x, y):
+        parts = [((), 1, 0)]
+        for xy in zip(x, y):
+            parts = [(kk + (m,), p * pf, s + sf)
+                     for kk, p, s in parts for m, pf, sf in legs[xy]]
+        return parts
+    return [[times(x, y) for y in ys] for x in xs]
 
 
 class Rows(dict):
@@ -907,58 +933,51 @@ class EdgeElem(AlgElem):
                         x.k, bound)
 
     def _times(self, other):
-        """The normal-form product, one pass over pairs of terms: each is
-        P1 P2 times one row of mul_mono per leg (Lattice.rows).  Each term
-        of the product is c1 c2 times one term per leg of mul_mono(x_i, y_i),
-        so its l1 norm is at most l1(c1) l1(c2) prod_i F_i, and summing over
-        all pairs and leg terms bounds every partial sum by
-        W = Lattice.product_bound: each is exact at _width(W)."""
+        """The normal-form product, met in the middle: keys split at leg
+        h = (arity + 1) // 2, and each factor's terms are grouped by left
+        half (_halves).  A product term is c1 c2 times one term of the left
+        halves' product and one of the right halves', each expanded leg by
+        leg from the rows of mul_mono (Lattice.rows).  Those half products
+        are formed once per product, for every pair of distinct halves
+        (_half_products), and every such pair meets in the pair loop, which
+        looks up one entry per half, not one per leg.  Each product term
+        has l1 norm at most l1(c1) l1(c2) prod_i F_i, and all of them sum
+        to at most W = Lattice.product_bound.  A partial sum, in any order,
+        sums a subset of them, so it stays below W and is exact at
+        _width(W): the canonical result does not depend on the order."""
         lat = self.backend
         if not self.terms or not other.terms:
             return AlgElem.zero(lat, self.arity)
         bound = lat.product_bound(self, other)
         k = _width(bound, max(self.k, other.k))
-        legs, mask = lat.rows(k, "mul"), (1 << k) - 1
-        pb = [(key, p, s) for key, (p, s) in other._at(k).terms.items()]
-        out = {}
-        for k1, (p1, s1) in self._at(k).terms.items():
-            for k2, p2, s2 in pb:
-                # one pass over the legs for the common case, a leg product
-                # of one term; legs of several terms are expanded after it
-                p, s, key, split = p1 * p2, s1 + s2, [], []
-                for xy in zip(k1, k2):
-                    fr = legs[xy]
-                    if len(fr) == 1:
-                        (m, pf, sf), = fr
-                        if pf != 1:
-                            p *= pf
-                        s += sf
-                    else:
-                        split.append((len(key), fr))
-                        m = None
-                    key.append(m)
-                parts = [(key, p, s)]
-                for i, fr in split:
-                    parts = [(kk[:i] + [m] + kk[i + 1:], p * pf, s + sf)
-                             for kk, p, s in parts for m, pf, sf in fr]
-                for kk, p, s in parts:
-                    kk = tuple(kk)
-                    cur = out.get(kk)
-                    if cur is not None:     # _accumulate, inlined
-                        p0, s0 = cur
-                        if s0 < s:
-                            p, s = p0 + (p << k * (s - s0)), s0
-                        elif s0 > s:
-                            p += p0 << k * (s0 - s)
-                        else:
-                            p += p0
-                            if not p:
-                                del out[kk]
-                                continue
-                            while not p & mask:
-                                p >>= k
-                                s += 1
-                    out[kk] = (p, s)
+        legs, mask, h = lat.rows(k, "mul"), (1 << k) - 1, (self.arity + 1) // 2
+        (ga, la, ra), (gb, lb, rb) = (_halves(x._at(k), h) for x in (self, other))
+        right, out = _half_products(legs, ra, rb), {}
+        for lrow, terms_a in zip(_half_products(legs, la, lb), ga):
+            for lefts, terms_b in zip(lrow, gb):
+                for i, p1, s1 in terms_a:
+                    rrow = right[i]
+                    for j, p2, s2 in terms_b:
+                        p12, s12 = p1 * p2, s1 + s2
+                        for rk, pr, sr in rrow[j]:
+                            for lk, pl, sl in lefts:
+                                kk, p, s = lk + rk, p12 * pl * pr, s12 + sl + sr
+                                cur = out.get(kk)
+                                if cur is not None:     # _accumulate, inlined
+                                    p0, s0 = cur
+                                    if s0 < s:
+                                        p, s = p0 + (p << k * (s - s0)), s0
+                                    elif s0 > s:
+                                        p += p0 << k * (s0 - s)
+                                    else:
+                                        p += p0
+                                        if not p:
+                                            del out[kk]
+                                            continue
+                                        while not p & mask:
+                                            p >>= k
+                                            s += 1
+                                out[kk] = (p, s)
         return EdgeElem(lat, self.arity, out, k, bound)
 
     def pad(self, left: int, right: int) -> "EdgeElem":

@@ -61,12 +61,14 @@ def max_coeff(terms):
 
 
 @pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
 def test_packed_product_equals_term_dict_product(backend, arity):
     lat = backend.lattice
     rng = random.Random(f"{backend.name}-{arity}")
-    exps = set()
-    for _ in range(12):
+    exps, several = set(), set()
+    # fewer rounds from arity 4 on: the reference's LaurentPoly expansion
+    # of multi-term legs grows with every leg
+    for _ in range(12 if arity <= 3 else 4):
         a = random_terms(rng, backend, arity, rng.randint(1, 8))
         b = random_terms(rng, backend, arity, rng.randint(1, 8))
         want = reference(lat, a, b)
@@ -74,14 +76,18 @@ def test_packed_product_equals_term_dict_product(backend, arity):
         assert max_coeff(want) <= lat.product_bound(lat.element(arity, a),
                                                     lat.element(arity, b))
         exps.update(e for c in a.values() for e in c.d)
+        several.update(i for k1 in a for k2 in b for i, xy in enumerate(zip(k1, k2))
+                       if len(lat.mul_mono(*xy)) > 1)
     # the inputs carried negative, zero and positive exponents
     assert min(exps) < 0 < max(exps) and 0 in exps
+    # from arity 2 on, both halves of the split product (at leg
+    # (arity + 1) // 2) met leg products of several terms
+    h = (arity + 1) // 2
+    assert min(several) < h and (arity == 1 or max(several) >= h)
 
 
-@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
-@pytest.mark.parametrize("arity", [1, 2, 3])
-def test_cancelled_keys_are_absent(backend, arity):
-    # on the first leg c (1 + K) times v^3 (K - 1) is c v^3 (K^2 - 1): the
+def check_cancelling_leg(backend, arity, leg):
+    # on leg 0 or -1, c (1 + K) times v^3 (K - 1) is c v^3 (K^2 - 1): the
     # K terms cancel, whatever the other legs multiply to
     lat = backend.lattice
     rng = random.Random(arity)
@@ -91,13 +97,30 @@ def test_cancelled_keys_are_absent(backend, arity):
         return tuple(backend.pack(*(rng.choice(r) for r in ranges))
                      for _ in range(arity - 1))
 
+    def key(m, rest):
+        return (m,) + rest if leg == 0 else rest + (m,)
+
     k0, k1, k2 = (group_like(backend, e) for e in (0, 1, 2))
     pad_a, pad_b, c = pad(), pad(), LaurentPoly({-3: 2, 1: -1})
-    a = {(k0,) + pad_a: c, (k1,) + pad_a: c}
-    b = {(k1,) + pad_b: LaurentPoly.mono(3), (k0,) + pad_b: LaurentPoly.mono(3, -1)}
+    a = {key(k0, pad_a): c, key(k1, pad_a): c}
+    b = {key(k1, pad_b): LaurentPoly.mono(3), key(k0, pad_b): LaurentPoly.mono(3, -1)}
     got = packed(lat, arity, a, b)
     assert got == reference(lat, a, b)
-    assert got and {k[0] for k in got} == {k0, k2}
+    assert got and {k[leg] for k in got} == {k0, k2}
+
+
+@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+def test_cancelled_keys_are_absent(backend, arity):
+    # the cancelling leg is the first, in the left half of the split product
+    check_cancelling_leg(backend, arity, 0)
+
+
+@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+def test_cancelled_keys_in_the_right_half_are_absent(backend, arity):
+    # the cancelling leg is the last, in the right half of the split product
+    check_cancelling_leg(backend, arity, -1)
 
 
 @pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
