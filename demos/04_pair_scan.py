@@ -23,7 +23,7 @@ reports, _ = scan(3, AW)
 for r in reports:
     if not r.holds_star:
         print(f"  A={set(r.A)} B={set(r.B)} "
-              f"(residual {r.residual_star.term_count()} terms)")
+              f"(residual {r.residual_star_terms} terms)")
 
 print("\nn=4 scan (a few seconds)...")
 reports, summary = scan(4, AW)

@@ -3,13 +3,15 @@
 generators, the structural pattern that predicts when the standard
 relation holds, curated regression suites, and the exhaustive scanner.
 
-A failing relation is informative, not an error: the report keeps the
-residual (left minus right side in normal form) for inspection.  Both
-relations go through one routine that works in the backend's lattice
-(pbw.Lattice), over Z[v, v^-1], on packed elements (pbw.EdgeElem) from the
-generators through the products, scalings and sums of each side to the
-residual and its lift; only the residual and the sides handed to callers
-are converted back to the published basis.
+A failing relation is informative, not an error: check_star and
+check_comm keep the residual (left minus right side in normal form) for
+inspection.  Both relations go through one routine that works in the
+backend's lattice (pbw.Lattice), over Z[v, v^-1], on packed elements
+(pbw.EdgeElem) from the generators through the products, scalings and sums
+of each side to the residual and its lift.  Only the residuals of check_*
+and the sides handed to callers are converted back to the published basis;
+the scan reads its verdicts and term counts off the lattice residual, which
+conversion scales term by term by nonzero scalars.
 
 That routine decides each pair at its compressed arity
 (extension.compress): every set a relation uses (A, B, their
@@ -57,9 +59,8 @@ def get_backend(name: str) -> Backend:
 # Every product a relation check needs is made in the backend's lattice
 # twin (pbw.Lattice) from the cached packed lattice builds, and cached here
 # packed, with its carried l1 bound: a cached product is normaliser^2 times
-# the published one.  Only residuals and the sides handed to callers go
-# back to the published basis.  Both caches key by the backend itself, not
-# by its name.
+# the published one.  Both caches key by the backend itself, not by its
+# name.
 
 _PROD_CACHE: dict = {}
 
@@ -97,6 +98,8 @@ class RelationReport:
     holds_comm: bool | None = None
     residual_star: AlgElem | None = None
     residual_comm: AlgElem | None = None
+    residual_star_terms: int | None = None
+    residual_comm_terms: int | None = None
     pattern_predicted: bool | None = None
     witness: tuple | None = None
     elapsed: float = 0.0
@@ -116,8 +119,7 @@ class RelationReport:
             residual = getattr(self, "residual_" + rel)
             if holds is not None:
                 obj["holds_" + rel] = holds
-                obj[f"residual_{rel}_terms"] = (
-                    0 if residual is None else residual.term_count())
+                obj[f"residual_{rel}_terms"] = getattr(self, f"residual_{rel}_terms")
                 if include_residual and residual is not None and not holds:
                     obj["residual_" + rel] = residual.to_json()
         if self.pattern_predicted is not None:
@@ -212,7 +214,8 @@ def _check(relation, A, B, n, backend) -> RelationReport:
         _lattice_residual(relation, A, B, n, backend), 2)
     return RelationReport(A, B, n, backend.name, elapsed=time.perf_counter() - t0,
                           **{"holds_" + relation: residual.is_zero(),
-                             "residual_" + relation: residual})
+                             "residual_" + relation: residual,
+                             f"residual_{relation}_terms": residual.term_count()})
 
 
 def check_star(A, B, n, backend) -> RelationReport:
@@ -454,6 +457,7 @@ def q_identities_regression(backend):
             res = lhs_fn(x) - rhs_fn(x)
             rep.holds_comm = hyp.is_zero() and res.is_zero()
             rep.residual_comm = res if not res.is_zero() else hyp
+            rep.residual_comm_terms = rep.residual_comm.term_count()
             out.append(rep)
     return out
 
@@ -461,14 +465,19 @@ def q_identities_regression(backend):
 # -- the exhaustive pair scanner ------------------------------------------------------
 
 def _scan_pair(backend, n, A, B) -> RelationReport:
+    """Both verdicts and term counts of one pair, read off the lattice
+    residuals, which keep the published residuals' terms: conversion
+    scales each coefficient by a nonzero scalar.  No residual is kept."""
     t0 = time.perf_counter()
-    rep = check_star(A, B, n, backend)
-    comm = check_comm(A, B, n, backend)
-    rep.holds_comm = comm.holds_comm
-    rep.residual_comm = comm.residual_comm
-    rep.pattern_predicted, rep.witness = predict_pattern(A, B)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    star = _lattice_residual("star", A, B, n, backend)
+    comm = _lattice_residual("comm", A, B, n, backend)
+    predicted, witness = predict_pattern(A, B)
+    return RelationReport(A, B, n, backend.name,
+                          holds_star=star.is_zero(), holds_comm=comm.is_zero(),
+                          residual_star_terms=star.term_count(),
+                          residual_comm_terms=comm.term_count(),
+                          pattern_predicted=predicted, witness=witness,
+                          elapsed=time.perf_counter() - t0)
 
 
 def _scan_reports(n, backend, workers):

@@ -288,3 +288,38 @@ def test_scan_with_workers_streams_every_report_in_pair_order():
     assert seen == reports
     assert [(r.A, r.B) for r in seen] == \
            [(A, B) for A in subsets(3) for B in subsets(3)]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_scan_counts_equal_published_residuals(backend, workers):
+    # the scan decides and counts in the lattice and keeps no residual;
+    # check_star/check_comm convert the residual to the published basis
+    reports, _ = scan(3, backend, workers=workers)
+    assert len(reports) == 64
+    for r in reports:
+        assert r.residual_star is None and r.residual_comm is None
+        star = check_star(r.A, r.B, 3, backend).residual_star
+        comm = check_comm(r.A, r.B, 3, backend).residual_comm
+        assert (r.holds_star, r.residual_star_terms) == \
+               (star.is_zero(), star.term_count()), (r.A, r.B)
+        assert (r.holds_comm, r.residual_comm_terms) == \
+               (comm.is_zero(), comm.term_count()), (r.A, r.B)
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_mirror_pair_has_equal_verdicts_and_commutator_count(backend):
+    # (A, B) and (rev B, rev A), rev(i) = n + 1 - i: both verdicts and the
+    # commutator's term count agree.  The standard relation's counts need
+    # not (8 pairs at n=5 differ).
+    for n in range(1, 5):
+        reports, _ = scan(n, backend)
+        by_pair = {(r.A, r.B): r for r in reports}
+
+        def rev(S):
+            return tuple(sorted(n + 1 - i for i in S))
+
+        for (A, B), r in by_pair.items():
+            m = by_pair[rev(B), rev(A)]
+            assert (r.holds_star, r.holds_comm, r.residual_comm_terms) == \
+                   (m.holds_star, m.holds_comm, m.residual_comm_terms), (n, A, B)
