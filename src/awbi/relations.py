@@ -5,13 +5,12 @@ relation holds, curated regression suites, and the exhaustive scanner.
 
 A failing relation is informative, not an error: check_star and
 check_comm keep the residual (left minus right side in normal form) for
-inspection.  Both relations go through one routine that works in the
-backend's lattice (pbw.Lattice), over Z[v, v^-1], on packed elements
-(pbw.EdgeElem) from the generators through the products, scalings and sums
-of each side to the residual and its lift.  Only the residuals of check_*
-and the sides handed to callers are converted back to the published basis;
-the scan reads its verdicts and term counts off the lattice residual, which
-conversion scales term by term by nonzero scalars.
+inspection; the scan keeps only the verdicts and term counts.  Both
+relations go through one routine that works in the backend's lattice
+(pbw.Lattice), over Z[v, v^-1], on packed elements (pbw.EdgeElem) from the
+generators through the products, scalings and sums of each side to the
+residual and its lift; only the residuals check_* keep and the sides
+handed to callers are converted back to the published basis.
 
 That routine decides each pair at its compressed arity
 (extension.compress): every set a relation uses (A, B, their
@@ -68,6 +67,12 @@ _PROD_CACHE: dict = {}
 # keyed by (backend, relation, arity, A, B) of the compressed pair.
 _RESIDUAL_CACHE: dict = {}
 
+# A product read again (in a scan, by the transpose pair at least) takes
+# its key tuples from _KEYS, shared with every other such product: products
+# repeat most of their keys.  A product read once is left as it was made.
+_KEYS: dict = {}
+_SHARED: set = set()
+
 
 def _prod(backend, n, ea, eb) -> AlgElem:
     key = (backend, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
@@ -75,12 +80,17 @@ def _prod(backend, n, ea, eb) -> AlgElem:
     if p is None:
         lat = backend.lattice
         p = _PROD_CACHE[key] = generator(lat, n, key[2]) * generator(lat, n, key[3])
+    elif key not in _SHARED:
+        _SHARED.add(key)
+        p.terms = {_KEYS.setdefault(k, k): c for k, c in p.terms.items()}
     return p
 
 
 def clear_caches():
     _PROD_CACHE.clear()
     _RESIDUAL_CACHE.clear()
+    _KEYS.clear()
+    _SHARED.clear()
     extension.clear_cache()
 
 
@@ -200,32 +210,33 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     return r.pad(left, right)
 
 
-def _check(relation, A, B, n, backend) -> RelationReport:
+def _check(relation, A, B, n, backend, keep_residual=True) -> RelationReport:
     """The residual of the relation at arity n, formed in the lattice from
-    the compressed pair and converted back once; the holds flag is
-    recomputed from its normal form, never short-circuited.  Lifting is
+    the compressed pair.  The holds flag and the term count are read off its
+    normal form, never short-circuited; they are the published residual's,
+    as conversion scales each coefficient by a nonzero scalar.  Lifting is
     exact: the coproducts and the padding are injective algebra morphisms
     (the counit on either copy inverts a coproduct), so the lifted residual
     is the one the direct products would give."""
     A = tuple(sorted(set(A)))
     B = tuple(sorted(set(B)))
     t0 = time.perf_counter()
-    residual = backend.lattice.from_lattice(
-        _lattice_residual(relation, A, B, n, backend), 2)
+    residual = _lattice_residual(relation, A, B, n, backend)
+    published = backend.lattice.from_lattice(residual, 2) if keep_residual else None
     return RelationReport(A, B, n, backend.name, elapsed=time.perf_counter() - t0,
                           **{"holds_" + relation: residual.is_zero(),
-                             "residual_" + relation: residual,
+                             "residual_" + relation: published,
                              f"residual_{relation}_terms": residual.term_count()})
 
 
-def check_star(A, B, n, backend) -> RelationReport:
+def check_star(A, B, n, backend, keep_residual=True) -> RelationReport:
     """Does the standard relation hold for (A, B)?"""
-    return _check("star", A, B, n, backend)
+    return _check("star", A, B, n, backend, keep_residual)
 
 
-def check_comm(A, B, n, backend) -> RelationReport:
+def check_comm(A, B, n, backend, keep_residual=True) -> RelationReport:
     """Do G_A and G_B commute?"""
-    return _check("comm", A, B, n, backend)
+    return _check("comm", A, B, n, backend, keep_residual)
 
 
 # -- the structural pattern ------------------------------------------------------
@@ -465,19 +476,14 @@ def q_identities_regression(backend):
 # -- the exhaustive pair scanner ------------------------------------------------------
 
 def _scan_pair(backend, n, A, B) -> RelationReport:
-    """Both verdicts and term counts of one pair, read off the lattice
-    residuals, which keep the published residuals' terms: conversion
-    scales each coefficient by a nonzero scalar.  No residual is kept."""
+    """Both verdicts and term counts of one pair; no residual is kept."""
     t0 = time.perf_counter()
-    star = _lattice_residual("star", A, B, n, backend)
-    comm = _lattice_residual("comm", A, B, n, backend)
-    predicted, witness = predict_pattern(A, B)
-    return RelationReport(A, B, n, backend.name,
-                          holds_star=star.is_zero(), holds_comm=comm.is_zero(),
-                          residual_star_terms=star.term_count(),
-                          residual_comm_terms=comm.term_count(),
-                          pattern_predicted=predicted, witness=witness,
-                          elapsed=time.perf_counter() - t0)
+    rep = check_star(A, B, n, backend, keep_residual=False)
+    comm = check_comm(A, B, n, backend, keep_residual=False)
+    rep.holds_comm, rep.residual_comm_terms = comm.holds_comm, comm.residual_comm_terms
+    rep.pattern_predicted, rep.witness = predict_pattern(A, B)
+    rep.elapsed = time.perf_counter() - t0
+    return rep
 
 
 def _scan_reports(n, backend, workers):

@@ -226,15 +226,15 @@ def test_check_numeric_skip_names_reason(capsys):
 
 def test_scan_reports_noncommuting_pair_with_A_inside_B(capsys, monkeypatch):
     from awbi import relations
-    real = relations._scan_pair
+    real = relations.check_comm
 
-    def scan_pair(backend, n, A, B):
-        rep = real(backend, n, A, B)
+    def check_comm(A, B, n, backend, keep_residual=True):
+        rep = real(A, B, n, backend, keep_residual)
         if (rep.A, rep.B) == ((1,), (1, 2)):
             rep.holds_comm = False
         return rep
 
-    monkeypatch.setattr(relations, "_scan_pair", scan_pair)
+    monkeypatch.setattr(relations, "check_comm", check_comm)
     _, summary = relations.scan(2, get_backend("aw"))
     assert summary["containment_comm_failures"] == [{"A": [1], "B": [1, 2]}]
     code, _ = run(capsys, "scan", "--n", "2", "--workers", "1")

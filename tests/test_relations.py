@@ -323,3 +323,15 @@ def test_mirror_pair_has_equal_verdicts_and_commutator_count(backend):
             m = by_pair[rev(B), rev(A)]
             assert (r.holds_star, r.holds_comm, r.residual_comm_terms) == \
                    (m.holds_star, m.holds_comm, m.residual_comm_terms), (n, A, B)
+
+
+def test_products_read_again_share_key_tuples():
+    # a scan reads most products again (for the transpose pair at least);
+    # those take their key tuples from one table, so equal keys across
+    # products are one object
+    from awbi import relations
+    relations.clear_caches()
+    scan(3, BI)
+    shared = [relations._PROD_CACHE[k] for k in relations._SHARED]
+    keys = [k for p in shared for k in p.terms]
+    assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
