@@ -137,10 +137,29 @@ class LaurentPoly:
         return g
 
     def evaluate(self, r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for e, c in self.d.items():
-            acc += c * r ** e
-        return acc
+        r = exact(r)
+        return Fraction(*self._at(r.numerator, r.denominator))
+
+    def _at(self, a, b):
+        """(n, d) in ints with n/d the value at v = a/b.  With lo and hi
+        the least and greatest exponents, the value is a^lo / b^hi times
+        the integer sum of c_e a^(e-lo) b^(hi-e), formed by Horner's rule
+        from the top exponent down."""
+        if not self.d:
+            return 0, 1
+        exps = sorted(self.d, reverse=True)
+        hi = lo = exps[0]
+        n, bpow = 0, 1
+        # n = the sum over exponents e >= lo of c_e a^(e-lo) b^(hi-e),
+        # bpow = b^(hi-lo)
+        for e in exps:
+            if e != lo:
+                n *= a ** (lo - e)
+                bpow *= b ** (lo - e)
+                lo = e
+            n += self.d[e] * bpow
+        return (n * a ** max(lo, 0) * b ** max(-hi, 0),
+                a ** max(-lo, 0) * b ** max(hi, 0))
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -191,6 +210,17 @@ class LaurentPoly:
             return "0"
         bits = [_term_str(self.d[e], e) for e in sorted(self.d, reverse=True)]
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def exact(r) -> Fraction:
+    """r as a Fraction.  Only ints and Fractions are exact: a float would
+    make every value computed from it a float."""
+    if isinstance(r, Fraction):
+        return r
+    if isinstance(r, int):
+        return Fraction(r)
+    raise TypeError("an exact value must be an int or a Fraction, "
+                    f"not {type(r).__name__}")
 
 
 def _term_str(c, e):
@@ -403,10 +433,13 @@ class RatQ:
     # -- evaluation / rendering ----------------------------------------------
 
     def evaluate(self, r: Fraction) -> Fraction:
-        dv = self.den.evaluate(r)
-        if dv == 0:
+        r = exact(r)
+        a, b = r.numerator, r.denominator
+        n, d = self.num._at(a, b)
+        dn, dd = self.den._at(a, b)
+        if dn == 0:
             raise ZeroDivisionError(f"denominator vanishes at v = {r}")
-        return self.num.evaluate(r) / dv
+        return Fraction(n * dd, d * dn)
 
     def pretty(self):
         if self.den.is_one():

@@ -1,7 +1,9 @@
 """Numeric cross-validation in exact rational representations."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from awbi.numoracle import (DEFAULT_POINTS, RepSpec, crosscheck,
                             crosscheck_points, evaluate, mat_add, mat_identity,
                             mat_is_zero, mat_mul, mat_scale, rep_matrices)
 from awbi.pbw import AlgElem
+from awbi.qcoeff import rq, vpow
 from awbi.relations import star_sides
 
 AW = uq.AW
@@ -37,6 +40,35 @@ def test_degenerate_q_rejected():
         RepSpec((2, 2), Fraction(1))
     with pytest.raises(ValueError):
         RepSpec((0,), Fraction(3, 2))
+
+
+def test_int_point_is_exact():
+    # an int q used to give float powers q ** -m, so the Casimir came back
+    # as the float 16.0625
+    spec = RepSpec((2,), 2)
+    assert type(spec.v_value) is Fraction
+    m = evaluate(AlgElem.casimir(AW), spec)
+    assert m == mat_scale(mat_identity(2), Fraction(257, 16))
+    assert all(type(x) is Fraction for row in m for x in row)
+    M = rep_matrices(2, 4)
+    assert all(type(x) is Fraction for a in M.values() for row in a for x in row)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Decimal("1.5"), 1.5j, "3/2"], ids=repr)
+def test_inexact_point_rejected(bad):
+    with pytest.raises(TypeError):
+        RepSpec((2,), bad)
+    with pytest.raises(TypeError):
+        rep_matrices(2, bad)
+
+
+def test_non_int_dims_rejected():
+    with pytest.raises(TypeError):
+        RepSpec((2.0,), Fraction(3, 2))
+    with pytest.raises(TypeError):
+        RepSpec((2, Fraction(2)), Fraction(3, 2))
+    with pytest.raises(TypeError):
+        rep_matrices(2.0, Fraction(9, 4))
 
 
 def test_two_dim_casimir_scalar():
@@ -139,3 +171,66 @@ def test_suite_agreement_with_symbolic_verdicts():
         for r in reports:
             lhs, rhs = star_sides(r.A, r.B, n, AW)
             assert crosscheck_points(lhs, rhs, (2,) * n) == r.holds_star, (r.A, r.B)
+
+
+# -- the kernel against an independent dense reference -------------------------
+
+def _kron(a, b):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def _naive_value(p, v):
+    return sum((c * Fraction(v) ** e for e, c in p.d.items()), Fraction(0))
+
+
+def _dense_evaluate(x, dims, v):
+    """Sum over terms of the coefficient, evaluated as a power sum, times
+    the Kronecker product of each leg's monomial, multiplied out from the
+    module's generator matrices."""
+    gens = {d: rep_matrices(d, Fraction(v) ** 2) for d in set(dims)}
+    size = prod(dims)
+    acc = tuple((Fraction(0),) * size for _ in range(size))
+    for key, c in x.terms.items():
+        m = ((Fraction(1),),)
+        for d, mono in zip(dims, key):
+            f, k, e = AW.unpack(mono)
+            leg = mat_identity(d)
+            for name, p in (("F", f), ("K" if k >= 0 else "Ki", abs(k)), ("E", e)):
+                for _ in range(p):
+                    leg = mat_mul(leg, gens[d][name])
+            m = _kron(m, leg)
+        acc = mat_add(acc, m, 1, _naive_value(c.num, v) / _naive_value(c.den, v))
+    return acc
+
+
+_COEFFS = (uq.DINV, -uq.DINV, uq.QM, uq.QP * uq.DINV, vpow(-3), rq((5, 2), (-1, -3)))
+
+
+def _random_elem(rng, arity):
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        key = tuple(AW.pack(rng.randint(0, 3), rng.randint(-3, 3), rng.randint(0, 3))
+                    for _ in range(arity))
+        terms[key] = rng.choice(_COEFFS)
+    return AlgElem(AW, arity, terms)
+
+
+@pytest.mark.parametrize("v", [Fraction(3, 2), Fraction(5, 7), Fraction(-3, 2), 2], ids=str)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2)], ids=str)
+def test_kernel_equals_dense_reference(dims, v):
+    rng = random.Random(len(dims))
+    spec = RepSpec(dims, v)
+    zero = AlgElem.zero(AW, len(dims))
+    for x in [zero] + [_random_elem(rng, len(dims)) for _ in range(6)]:
+        m = evaluate(x, spec)
+        assert all(type(e) is Fraction for row in m for e in row)
+        assert m == _dense_evaluate(x, dims, v)
+    assert mat_is_zero(evaluate(zero, spec))
+    # on a two-dimensional leg the Casimir is (v^4 + v^-4) times the
+    # identity, so the four nonzero terms of this element cancel
+    i = dims.index(2)
+    cancel = (AlgElem.casimir(AW).pad(i, len(dims) - 1 - i)
+              - AlgElem.scalar(AW, len(dims), rq((4, 1), (-4, 1))))
+    assert len(cancel.terms) == 4
+    assert mat_is_zero(evaluate(cancel, spec))
+    assert mat_is_zero(_dense_evaluate(cancel, dims, v))

@@ -107,6 +107,36 @@ def test_evaluation_homomorphism():
             assert (a / b).evaluate(r) == av / bv
 
 
+def _naive_value(p, r):
+    return sum((c * Fraction(r) ** e for e, c in p.d.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("r", [Fraction(-3, 2), Fraction(2, 5), Fraction(-1, 3), 3, -2], ids=str)
+def test_evaluate_equals_naive_power_sum(r):
+    # negative, |r| < 1 and int points; negative-only, positive-only,
+    # mixed, constant and zero polynomials
+    polys = [lp((-3, 2), (-1, -5)), lp((1, 4), (6, -1)), lp((-2, 1), (0, 3), (5, -7)),
+             lp((0, 7)), LaurentPoly.zero()]
+    dens = [lp((0, 1)), lp((0, 1), (2, 1)), lp((-1, 1), (0, 5)), lp((2, 1), (-2, -1))]
+    for p in polys:
+        got = p.evaluate(r)
+        assert type(got) is Fraction and got == _naive_value(p, r)
+        for den in dens:
+            x = RatQ.make(p, den)
+            got = x.evaluate(r)
+            assert type(got) is Fraction
+            assert got == _naive_value(x.num, r) / _naive_value(x.den, r)
+            assert got == _naive_value(p, r) / _naive_value(den, r)
+
+
+def test_evaluate_rejects_inexact_points():
+    for r in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            lp((1, 1)).evaluate(r)
+        with pytest.raises(TypeError):
+            rq((1, 1)).evaluate(r)
+
+
 def test_vpow_and_json_roundtrip():
     assert vpow(3) * vpow(-3) == ONE
     rng = random.Random(5)
