@@ -675,9 +675,6 @@ class AlgElem:
                 and self.arity == other.arity
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        raise TypeError("AlgElem is not hashable")
-
     # -- linear structure -----------------------------------------------------
 
     def _check(self, other):

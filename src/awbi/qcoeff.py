@@ -77,16 +77,7 @@ class LaurentPoly:
         return LaurentPoly(out, _trusted=True)
 
     def __sub__(self, other):
-        if not other.d:
-            return self
-        out = dict(self.d)
-        for e, c in other.d.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return LaurentPoly(out, _trusted=True)
+        return self + (-other)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.d.items()}, _trusted=True)
@@ -388,14 +379,7 @@ class RatQ:
         return _sum(a, da, b, db)
 
     def __sub__(self, other):
-        b = other.num
-        if not b.d:
-            return self
-        da, db = self.den, other.den
-        if da is _LP_ONE and db is _LP_ONE:
-            n = self.num - b
-            return RatQ(n) if n.d else ZERO
-        return _sum(self.num, da, -b, db)
+        return self + (-other)
 
     def __neg__(self):
         if not self.num.d:
@@ -507,16 +491,10 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
 ZERO = RatQ(_LP_ZERO)
 ONE = RatQ(_LP_ONE)
 
-_VPOW_CACHE: dict[int, RatQ] = {}
-
 
 def vpow(k) -> RatQ:
     """v^k as a field element (v = q^(1/2), so q^a is vpow(2a))."""
-    r = _VPOW_CACHE.get(k)
-    if r is None:
-        r = RatQ(LaurentPoly.mono(k))
-        _VPOW_CACHE[k] = r
-    return r
+    return RatQ(LaurentPoly.mono(k))
 
 
 def lp(*pairs) -> LaurentPoly:

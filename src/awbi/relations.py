@@ -276,9 +276,8 @@ def subsets(n):
         yield from itertools.combinations(items, r)
 
 
-def suite_commute(n, backend, extra_pairs=()):
-    """Containment commutation: every ordered pair B <= A <= [1;n], plus any
-    curated extras given as (A, B, n) triples."""
+def suite_commute(n, backend):
+    """Containment commutation: every ordered pair B <= A <= [1;n]."""
     reports = []
     for A in subsets(n):
         for r in range(len(A) + 1):
@@ -286,10 +285,6 @@ def suite_commute(n, backend, extra_pairs=()):
                 rep = check_comm(A, B, n, backend)
                 rep.label = "containment"
                 reports.append(rep)
-    for (A, B, nn) in extra_pairs:
-        rep = check_comm(A, B, nn, backend)
-        rep.label = "containment-curated"
-        reports.append(rep)
     return reports
 
 
