@@ -63,12 +63,15 @@ def test_pack_rejects_exponents_outside_the_layout():
         AlgElem.mono(BI, (0, 1023, 0, 0)) * AP
 
 
-def test_casimir_normal_form():
+def test_casimir():
     # definition: (-A+A- + (q^-1/2 K^2 - q^1/2 K^-2)/(q - q^-1)) P
     built = (-(AP * AM)
              + (K * K).scale(osp.VHI / osp.QM)
              - (KI * KI).scale(osp.VH / osp.QM)) * P
     assert built == GAM
+    for g in (AP, AM, K, P):
+        assert (GAM * g - g * GAM).is_zero()
+    assert (GAM * GAM * AP - AP * (GAM * GAM)).is_zero()
     assert all(BI.unpack(k[0])[3] == 1 for k in GAM.terms)
     assert GAM.counit(1) == AlgElem.scalar(BI, 0, BI.casimir_counit)
 
@@ -142,3 +145,9 @@ def test_tau_well_defined_on_relations():
 
     for side, rels in (("R", right), ("L", left)):
         assert_relations_vanish(rels, letter_maps(BI, side))
+
+
+def test_json_uses_four_field_monomials():
+    obj = GAM.to_json()
+    assert all(len(t["mono"][0]) == 4 for t in obj["terms"])
+    assert AlgElem.from_json(BI, obj) == GAM

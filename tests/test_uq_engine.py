@@ -34,6 +34,13 @@ def test_defining_relations():
     assert_relations_vanish(relations, generator_maps(AW, gens))
 
 
+def test_mul_examples():
+    # E.F straightens in one step
+    assert E * F == F * E + (K - Ki).scale(uq.DINV)
+    # E.K = q^-2 K.E
+    assert E * K == (K * E).scale(vpow(-4))
+
+
 def test_e2f_against_single_step_rewriting():
     # oracle: straighten E^2 F by substituting EF -> FE + C twice by hand:
     # E^2 F = E(FE + C) = (EF)E + EC = (FE + C)E + EC
@@ -60,8 +67,10 @@ def test_q_comm():
     assert bracket_q(E, F, ONE, -ONE) == (K - Ki).scale(uq.DINV)
 
 
-def test_casimir_normal_form():
+def test_casimir_normal_form_and_centrality():
     assert LAM == (F * E).scale(uq.QM2) + K.scale(uq.Q1) + Ki.scale(uq.QI)
+    for g in (E, F, K, Ki):
+        assert (LAM * g - g * LAM).is_zero()
     assert LAM.counit(1) == AlgElem.scalar(AW, 0, uq.QP)
 
 
@@ -70,6 +79,13 @@ def test_coproduct_generators():
         (AW.pack(0, 0, 1), AW.pack(0, 0, 0)): ONE,
         (AW.pack(0, 1, 0), AW.pack(0, 0, 1)): ONE,
     })
+
+
+def test_casimir_coproduct_display():
+    # Cas (x) K^-1 + K (x) Cas - (q+q^-1) K (x) K^-1
+    #   + (q-q^-1)^2 (E (x) F + q^-2 FK (x) EK^-1)
+    display = EdgeElem.casimir_delta(AW).finalize()
+    assert display == LAM.coproduct(1)
 
 
 def test_tau_r_images():
@@ -108,3 +124,10 @@ def test_tau_well_defined_on_relations():
 
     for side, rels in (("R", right), ("L", left)):
         assert_relations_vanish(rels, letter_maps(AW, side))
+
+
+def test_tau_on_equal_words_two_ways():
+    # K^-1 . EK^-1 and EK^-1 . K^-1 represent proportional elements; their
+    # coaction images must match after expansion with the same scalar
+    for W, _ in letter_maps(AW, "R"):
+        assert W["Ki"] * W["EKi"] == (W["EKi"] * W["Ki"]).scale(vpow(-4))
