@@ -4,15 +4,17 @@ matrices in finite-dimensional U_q(sl2) weight modules.
 Equality is decisive, with no tolerances.  The evaluation point, the
 module matrices and every result entry are Fractions, but the kernel
 sums Python ints: every entry product is held as an integer over one
-denominator common to the whole element (see evaluate).  Integer sums
+denominator common to the whole element (see _kernel).  Integer sums
 are exact, so one division per entry at the end gives the same Fractions
-as summing Fractions term by term.  Evaluation shares only the element
-data structure and the coefficient field with the normal-form path, but
-a holding relation's two sides are one normal form, so their matrices
-agree by construction.  Two kinds of check are
-independent: failing pairs, whose matrices show that the sides differ as
-operators, and products of separately evaluated generators, which audit
-the straightening (criterion 8 at n=4, the lattice oracle test, demo 06).
+as summing Fractions term by term, and crosscheck compares two elements'
+sums cross-multiplied by each other's denominator, with no division at
+all.  Evaluation shares only the element data structure and the
+coefficient field with the normal-form path, but a holding relation's
+two sides are one normal form, so their matrices agree by construction.
+Two kinds of check are independent: failing pairs, whose matrices show
+that the sides differ as operators, and products of separately evaluated
+generators, which audit the straightening (criterion 8 at n=4, the
+lattice oracle test, demo 06).
 ROADMAP item 6 covers the rest.
 
 Only the U_q(sl2) backend has representations here; conventions for the
@@ -128,19 +130,30 @@ def _mono_entries(dim, qn, qd, f, k, e):
 
 
 def evaluate(x: AlgElem, spec: RepSpec):
-    """Evaluate a symbolic element to an exact rational matrix.  A tensor
-    monomial is the Kronecker product of its legs' monomial matrices, the
-    first leg most significant; each product of per-leg nonzero entries
-    lands on one matrix entry, so no dense product is formed.
+    """Evaluate a symbolic element to an exact rational matrix: entry i of
+    the flattened matrix is acc[i] / den, with (acc, den) from _kernel."""
+    acc, den = _kernel(x, spec)
+    size = prod(spec.dims)
+    zero = Fraction(0)
+    flat = [Fraction(a, den) if a else zero for a in acc]
+    return tuple(tuple(flat[r:r + size]) for r in range(0, size * size, size))
+
+
+def _kernel(x: AlgElem, spec: RepSpec):
+    """The matrix of x as (acc, den): its entries, row-major, as ints over
+    one positive common denominator.  A tensor monomial is the Kronecker
+    product of its legs' monomial matrices, the first leg most
+    significant; each product of per-leg nonzero entries lands on one
+    matrix entry, so no dense product is formed.
 
     The sums run in ints.  Leg i's entries become integers over L_i, the
     lcm of the denominators of the entries of the monomials present on
     that leg; each distinct coefficient is evaluated once, and the values
     become integers over their lcm D.  An entry product is then an integer
-    over D * prod(L_i), and each matrix entry is one Fraction of its
-    integer sum over that denominator.  Each distinct half key (the legs
-    before and after the middle) is expanded once, and a term pairs the
-    entries of its two halves."""
+    over D * prod(L_i), and each matrix entry is its integer sum over that
+    denominator.  Each distinct half key (the legs before and after the
+    middle) is expanded once, and a term pairs the entries of its two
+    halves."""
     if x.backend.name != "aw":
         raise ValueError("numeric evaluation is only defined for the aw backend")
     if x.arity != len(spec.dims):
@@ -181,9 +194,7 @@ def evaluate(x: AlgElem, spec: RepSpec):
             v *= c
             for o, w in ends:
                 acc[p + o] += v * w
-    zero = Fraction(0)
-    flat = [Fraction(a, den) if a else zero for a in acc]
-    return tuple(tuple(flat[r:r + size]) for r in range(0, size * size, size))
+    return acc, den
 
 
 def _lcm(ints):
@@ -206,8 +217,12 @@ def _kron(tables, keys):
 
 
 def crosscheck(lhs: AlgElem, rhs: AlgElem, spec: RepSpec) -> bool:
-    """Exact matrix equality of the two sides under the representation."""
-    return evaluate(lhs, spec) == evaluate(rhs, spec)
+    """Exact matrix equality of the two sides under the representation:
+    each side's integer entries, cross-multiplied by the other side's
+    common denominator, agree, with no Fraction formed."""
+    a1, d1 = _kernel(lhs, spec)
+    a2, d2 = _kernel(rhs, spec)
+    return all(x * d2 == y * d1 for x, y in zip(a1, a2))
 
 
 DEFAULT_POINTS = (Fraction(3, 2), Fraction(5, 7))

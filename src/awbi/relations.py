@@ -25,6 +25,16 @@ shifted; both are injective, since the counit on either copy undoes them.
 So the residual at arity n is the compressed residual widened and then
 padded: the same element, zero exactly when the compressed one is.
 
+A scan frees what it caches as it goes.  Before it runs, it lists what
+each pair's two checks read (_reads: the compressed residual's key, and
+the products of the sides at the compressed arity, which a compressed
+pair reads only when its residual key misses), and after each pair it
+drops every product and residual whose last reader that pair was.  So the
+caches hold only what a later pair still reads, and a scan leaves none
+of it behind.  Freeing too early could only make a product again, never
+change a verdict.  check_star and check_comm outside a scan keep every
+product and residual they make.
+
 The structural pattern reads the same word without its 00 letters, as a
 (10), b (01) and c (11): a pair has an admissible form exactly when its
 word matches that form's template, a*c*b*a*, b*a*c*b* or c*b*a*c*.
@@ -73,9 +83,18 @@ _RESIDUAL_CACHE: dict = {}
 _KEYS: dict = {}
 _SHARED: set = set()
 
+# In a parallel scan's worker: chunk index f -> keys that chunk f reads
+# last.  A worker keeps its caches from chunk to chunk, so a key it made
+# that a later chunk reads stays until it starts a chunk past f.
+_RETIRE: dict = {}
+
+
+def _prod_key(backend, n, ea, eb):
+    return (backend, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
+
 
 def _prod(backend, n, ea, eb) -> AlgElem:
-    key = (backend, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
+    key = _prod_key(backend, n, ea, eb)
     p = _PROD_CACHE.get(key)
     if p is None:
         lat = backend.lattice
@@ -86,11 +105,20 @@ def _prod(backend, n, ea, eb) -> AlgElem:
     return p
 
 
+def _free(keys):
+    """Drop the products and compressed residuals with these keys."""
+    for key in keys:
+        _PROD_CACHE.pop(key, None)
+        _RESIDUAL_CACHE.pop(key, None)
+        _SHARED.discard(key)
+
+
 def clear_caches():
     _PROD_CACHE.clear()
     _RESIDUAL_CACHE.clear()
     _KEYS.clear()
     _SHARED.clear()
+    _RETIRE.clear()
     extension.clear_cache()
 
 
@@ -148,25 +176,31 @@ def _nested(A, B):
     return sa <= sb or sb <= sa
 
 
-def _setops(A, B):
+def _products(relation, A, B):
+    """The ordered pairs (X, Y) whose products G_X G_Y the sides of the
+    relation for (A, B) are formed from, in the order _lattice_sides reads
+    them: (A, B) and (B, A), and for the standard relation also
+    (int, uni) and (AmB, BmA) as in _lattice_sides."""
+    if relation == "comm":
+        return (A, B), (B, A)
     sa, sb = set(A), set(B)
-    return (tuple(sorted(sa & sb)), tuple(sorted(sa | sb)),
-            tuple(sorted(sa ^ sb)), tuple(sorted(sa - sb)), tuple(sorted(sb - sa)))
+    return ((A, B), (B, A), (tuple(sorted(sa & sb)), tuple(sorted(sa | sb))),
+            (tuple(sorted(sa - sb)), tuple(sorted(sb - sa))))
 
 
 def _lattice_sides(relation, A, B, n, backend):
     """Both lattice sides, normaliser^2 times the published ones, of
     G_A G_B = G_B G_A ("comm") or of the standard relation ("star")
         plus*G_A*G_B + minus*G_B*G_A = w*G_sym + s*(G_int*G_uni + G_AmB*G_BmA)."""
-    ab, ba = _prod(backend, n, A, B), _prod(backend, n, B, A)
+    ab, ba, *rest = [_prod(backend, n, X, Y) for X, Y in _products(relation, A, B)]
     if relation == "comm":
         return ab, ba
     lat = backend.lattice
     w, s, plus, minus = lat.relation
-    inter, union, sym, amb, bma = _setops(A, B)
+    int_uni, amb_bma = rest
+    sym = tuple(sorted(set(A) ^ set(B)))
     return (ab.scale(plus) + ba.scale(minus),
-            generator(lat, n, sym).scale(w)
-            + (_prod(backend, n, inter, union) + _prod(backend, n, amb, bma)).scale(s))
+            generator(lat, n, sym).scale(w) + (int_uni + amb_bma).scale(s))
 
 
 def _sides(relation, A, B, n, backend):
@@ -187,6 +221,26 @@ def comm_sides(A, B, n, backend):
     return _sides("comm", A, B, n, backend)
 
 
+def _residual_key(backend, relation, m, n, A2, B2):
+    """The key of the cached residual of a pair with compressed pair
+    (A2, B2) at arity m; None for a pair that does not compress (m = n)."""
+    return None if m == n else (backend, relation, m, A2, B2)
+
+
+def _reads(A, B, n, backend):
+    """What the checks of (A, B) inside [1;n] read from the caches: for
+    each relation, in the order _scan_pair checks them, the key of its
+    cached residual (None for a pair that does not compress) and the keys
+    of the products its sides are formed from, at the compressed arity.  A
+    compressed pair reads those products only when its residual key
+    misses."""
+    A2, B2, runs, _, _ = extension.compress(A, B, n)
+    m = len(runs)
+    return [(_residual_key(backend, relation, m, n, A2, B2),
+             [_prod_key(backend, m, X, Y) for X, Y in _products(relation, A2, B2)])
+            for relation in ("star", "comm")]
+
+
 def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     """lhs - rhs of the relation in the lattice, decided at the compressed
     arity and lifted back to n (see the module docstring).  A pair that
@@ -195,10 +249,10 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     one lifts to zero at once."""
     A2, B2, runs, left, right = extension.compress(A, B, n)
     m = len(runs)
-    if m == n:
-        lhs, rhs = _lattice_sides(relation, A, B, n, backend)
+    key = _residual_key(backend, relation, m, n, A2, B2)
+    if key is None:
+        lhs, rhs = _lattice_sides(relation, A2, B2, n, backend)
         return lhs - rhs
-    key = (backend, relation, m, A2, B2)
     r = _RESIDUAL_CACHE.get(key)
     if r is None:
         lhs, rhs = _lattice_sides(relation, A2, B2, m, backend)
@@ -470,41 +524,109 @@ def q_identities_regression(backend):
 
 # -- the exhaustive pair scanner ------------------------------------------------------
 
-def _scan_pair(backend, n, A, B) -> RelationReport:
-    """Both verdicts and term counts of one pair; no residual is kept."""
+def _scan_pair(backend, n, A, B, done) -> RelationReport:
+    """Both verdicts and term counts of one pair; no residual is kept.
+    Afterwards the cached products and residuals with the keys in done,
+    whose last reader this pair is, are dropped."""
     t0 = time.perf_counter()
     rep = check_star(A, B, n, backend, keep_residual=False)
     comm = check_comm(A, B, n, backend, keep_residual=False)
     rep.holds_comm, rep.residual_comm_terms = comm.holds_comm, comm.residual_comm_terms
     rep.pattern_predicted, rep.witness = predict_pattern(A, B)
+    _free(done)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
 
+def _pair_reads(backend, n, pairs):
+    """For each pair in order, the keys of the products and residuals its
+    two checks read, in the order _scan_pair makes them, when the pairs are
+    checked in order from caches that hold none of the pairs' residuals."""
+    seen = set()
+    for A, B in pairs:
+        keys = []
+        for key, products in _reads(A, B, n, backend):
+            if key is not None:
+                keys.append(key)
+                if key in seen:
+                    continue
+                seen.add(key)
+            keys += products
+        yield keys
+
+
+def _chunk_tasks(backend, n, pairs, size):
+    """The pairs cut into contiguous chunks of the given size, each as
+    (pairs, index, frees, keep): frees maps a pair's index in the chunk to
+    the keys to drop after it, those whose last reader it is when no later
+    chunk reads them; keep maps every other key the chunk reads to the last
+    chunk that reads it."""
+    chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
+    lasts = [{key: i for i, keys in enumerate(_pair_reads(backend, n, chunk)) for key in keys}
+             for chunk in chunks]
+    final = {key: c for c, last in enumerate(lasts) for key in last}
+    tasks = []
+    for c, (chunk, last) in enumerate(zip(chunks, lasts)):
+        frees, keep = {}, {}
+        for key, i in last.items():
+            if final[key] == c:
+                frees.setdefault(i, []).append(key)
+            else:
+                keep[key] = final[key]
+        tasks.append((chunk, c, frees, keep))
+    return tasks
+
+
+def _run_chunk(backend, n, pairs, c, frees, keep):
+    """The reports of chunk c, yielded in order.  A worker keeps its caches
+    from chunk to chunk: first drop what it holds for earlier chunks only,
+    and note when to drop the keys of this chunk that later chunks read."""
+    for f in [f for f in _RETIRE if f < c]:
+        _free(_RETIRE.pop(f))
+    for key, f in keep.items():
+        _RETIRE.setdefault(f, []).append(key)
+    for i, (A, B) in enumerate(pairs):
+        yield _scan_pair(backend, n, A, B, frees.get(i, ()))
+
+
+def _run_chunk_list(*task):
+    return list(_run_chunk(*task))
+
+
 def _scan_reports(n, backend, workers):
-    """The reports of every ordered pair, yielded in pair order.  With
-    several workers the pairs go out in contiguous chunks, a few per
-    worker, and each chunk is yielded as soon as it and those before it
-    are done."""
+    """The reports of every ordered pair, yielded in pair order.  A serial
+    scan is one chunk: each product and compressed residual is freed after
+    its last reader, so the caches hold only what a later pair still reads,
+    and none of it at the end.  With several workers the pairs go out in
+    contiguous chunks, a few per worker, and each chunk is yielded as soon
+    as it and those before it are done.  A worker keeps what it made for
+    the later chunks it may get (see _chunk_tasks), as a serial scan keeps
+    it for later pairs: a pair and its transpose mostly fall in different
+    chunks, and a worker that emptied its caches after each chunk would
+    make each product at n=6 about three times."""
     pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
     if workers == 1:
-        for A, B in pairs:
-            yield _scan_pair(backend, n, A, B)
+        (task,) = _chunk_tasks(backend, n, pairs, len(pairs))
+        yield from _run_chunk(backend, n, *task)
         return
+    tasks = _chunk_tasks(backend, n, pairs, -(-len(pairs) // (4 * workers)))
     # imported here, so a serial run never loads the pool
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_scan_pair, itertools.repeat(backend),
-                            itertools.repeat(n), *zip(*pairs),
-                            chunksize=-(-len(pairs) // (4 * workers)))
+        for reports in pool.map(_run_chunk_list, itertools.repeat(backend),
+                                itertools.repeat(n), *zip(*tasks)):
+            yield from reports
 
 
 def scan(n, backend, workers=1, progress=None):
     """Classify every ordered pair of subsets of [1;n]: does the standard
     relation hold, does the commutator vanish, and does the structural
     pattern predict the former.  progress, if given, receives each
-    report in pair order as it becomes available.  Returns
-    (reports, summary)."""
+    report in pair order as it becomes available.  Each cached product
+    and compressed residual is freed after the last pair that reads it
+    (counted from the pair list before the first check), so the scan
+    holds only what later pairs still need and leaves none of what it
+    read behind.  Returns (reports, summary)."""
     t0 = time.perf_counter()
     reports = []
     for rep in _scan_reports(n, backend, workers):

@@ -234,3 +234,25 @@ def test_kernel_equals_dense_reference(dims, v):
     assert len(cancel.terms) == 4
     assert mat_is_zero(evaluate(cancel, spec))
     assert mat_is_zero(_dense_evaluate(cancel, dims, v))
+
+
+def test_crosscheck_equals_fraction_matrix_equality():
+    # crosscheck cross-multiplies the two sides' integer sums; it must agree
+    # with equality of the evaluated Fraction matrices on holding pairs,
+    # failing pairs and zero elements
+    n = 3
+    zero = AlgElem.zero(AW, n)
+    casimir = AlgElem.casimir(AW).pad(0, n - 1)
+    scalar = AlgElem.scalar(AW, n, rq((4, 1), (-4, 1)))   # casimir's value on 2 dims
+    cases = [(zero, zero), (casimir, scalar), (casimir, scalar + scalar)]
+    for A, B in (((1, 2), (2, 3)), ((2, 3), (1, 3)), ((1, 2), (1, 3)), ((1, 3), (2, 3))):
+        lhs, rhs = star_sides(A, B, n, AW)
+        cases += [(lhs, rhs), (rhs, lhs), (lhs - rhs, zero), (zero, lhs - rhs), (lhs, lhs + lhs)]
+    verdicts = []
+    for v in DEFAULT_POINTS + (Fraction(-3, 2),):
+        spec = RepSpec((2,) * n, v)
+        for x, y in cases:
+            want = evaluate(x, spec) == evaluate(y, spec)
+            assert crosscheck(x, y, spec) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -328,10 +328,92 @@ def test_mirror_pair_has_equal_verdicts_and_commutator_count(backend):
 def test_products_read_again_share_key_tuples():
     # a scan reads most products again (for the transpose pair at least);
     # those take their key tuples from one table, so equal keys across
-    # products are one object
+    # products are one object.  The scan frees each product after its last
+    # reader, so the shared products are looked at after every pair, and
+    # the pair after which they hold the most keys is checked.
     from awbi import relations
     relations.clear_caches()
-    scan(3, BI)
-    shared = [relations._PROD_CACHE[k] for k in relations._SHARED]
-    keys = [k for p in shared for k in p.terms]
-    assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
+    seen = []
+
+    def look(rep):
+        keys = [k for key in relations._SHARED for k in relations._PROD_CACHE[key].terms]
+        seen.append((len(keys), len({id(k) for k in keys}), len(set(keys))))
+
+    scan(3, BI, progress=look)
+    total, objects, distinct = max(seen)
+    assert objects == distinct < total
+
+
+class _LoggedDict(dict):
+    """A dict that records the key of every get."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_scan_frees_each_product_and_residual_after_its_last_reader(backend, monkeypatch):
+    from awbi import relations
+    relations.clear_caches()
+    n = 4
+    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
+    planned = list(relations._pair_reads(backend, n, pairs))
+    reads, misses, per_pair, live, products = [], [], [], [], set()
+    prod = relations._prod
+
+    def logged_prod(b, m, ea, eb):
+        key = relations._prod_key(b, m, ea, eb)
+        reads.append(key)
+        products.add(key)
+        if key not in relations._PROD_CACHE:
+            misses.append(key)
+        return prod(b, m, ea, eb)
+
+    def after_pair(rep):
+        per_pair.append(reads[:])
+        reads.clear()
+        live.append(len(relations._PROD_CACHE))
+
+    monkeypatch.setattr(relations, "_prod", logged_prod)
+    monkeypatch.setattr(relations, "_RESIDUAL_CACHE", _LoggedDict(reads))
+    scan(n, backend, progress=after_pair)
+    # the planner lists each pair's reads, residuals and products, in order
+    assert per_pair == planned
+    # each product is made once
+    assert len(misses) == len(set(misses)) == len(products) == 150
+    # nothing the scan read is left, and the cache never held all of it
+    assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
+    assert not relations._SHARED
+    assert max(live) < len(products)
+
+
+def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
+    # one worker that gets every chunk keeps what later chunks read and
+    # drops the rest, so it makes each product once and ends empty
+    from awbi import relations
+    relations.clear_caches()
+    n = 4
+    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
+    made = []
+    prod = relations._prod
+
+    def logged_prod(b, m, ea, eb):
+        key = relations._prod_key(b, m, ea, eb)
+        if key not in relations._PROD_CACHE:
+            made.append(key)
+        return prod(b, m, ea, eb)
+
+    monkeypatch.setattr(relations, "_prod", logged_prod)
+    serial = scan(n, AW)[0]
+    assert len(made) == len(set(made)) == 150
+    made.clear()
+    reports = [rep for task in relations._chunk_tasks(AW, n, pairs, 40)
+               for rep in relations._run_chunk(AW, n, *task)]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
+    assert len(made) == len(set(made)) == 150
+    assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
