@@ -49,10 +49,7 @@ def cmd_check(args) -> int:
     backend = get_backend(args.backend)
     A = IndexSet.parse(args.A, args.n).elements
     B = IndexSet.parse(args.B, args.n).elements
-    rep = getattr(relations, "check_" + args.relation)(A, B, args.n, backend)
-    holds = getattr(rep, "holds_" + args.relation)
-    residual = getattr(rep, "residual_" + args.relation)
-    rep.pattern_predicted, rep.witness = relations.predict_pattern(A, B)
+    checks = [(args.relation, A, B, args.n)]
     numeric_verdict = None
     if args.numeric:
         if backend.name != "aw":
@@ -60,9 +57,14 @@ def cmd_check(args) -> int:
         elif args.n > 5:
             numeric_verdict = "skipped (n > 5)"
         else:
-            sides = getattr(relations, args.relation + "_sides")
-            lhs, rhs = sides(A, B, args.n, backend)
-            numeric_verdict = numoracle.crosscheck_points(lhs, rhs, (2,) * args.n)
+            checks.append((args.relation + "_sides", A, B, args.n))
+    # one batch, so the sides reuse the check's products where they match
+    rep, *sides = relations.run_batch(backend, checks)
+    holds = getattr(rep, "holds_" + args.relation)
+    residual = getattr(rep, "residual_" + args.relation)
+    rep.pattern_predicted, rep.witness = relations.predict_pattern(A, B)
+    if sides:
+        numeric_verdict = numoracle.crosscheck_points(*sides[0], (2,) * args.n)
     if args.output == "json":
         obj = rep.to_json(include_residual=args.full, include_timing=args.timing)
         obj["relation"] = args.relation
@@ -166,8 +168,8 @@ def cmd_selftest(args) -> int:
               f"{'ok' if not hopf else 'FAIL'}")
         failures.extend(hopf)
         run("rank-one relations",
-            lambda: [relations.check_star(A, B, 3, backend) for A, B in
-                     (((1, 2), (2, 3)), ((2, 3), (1, 3)), ((1, 3), (1, 2)))],
+            lambda: relations.run_batch(backend, [("star", A, B, 3) for A, B in
+                     (((1, 2), (2, 3)), ((2, 3), (1, 3)), ((1, 3), (1, 2)))]),
             "holds_star")
         eq = _process_equivalence_reports(backend, args.max_equiv_n)
         print(f"  process equivalence n<={args.max_equiv_n}: "

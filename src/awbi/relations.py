@@ -25,15 +25,18 @@ shifted; both are injective, since the counit on either copy undoes them.
 So the residual at arity n is the compressed residual widened and then
 padded: the same element, zero exactly when the compressed one is.
 
-A scan frees what it caches as it goes.  Before it runs, it lists what
-each pair's two checks read (_reads: the compressed residual's key, and
-the products of the sides at the compressed arity, which a compressed
-pair reads only when its residual key misses), and after each pair it
-drops every product and residual whose last reader that pair was.  So the
-caches hold only what a later pair still reads, and a scan leaves none
-of it behind.  Freeing too early could only make a product again, never
-change a verdict.  check_star and check_comm outside a scan keep every
-product and residual they make.
+Every check runs in a batch, and what a batch caches lives from its first
+reader to its last.  A batch is a scan, a suite, a run_batch call, or a
+single check_star, check_comm, star_sides or comm_sides call made outside
+any batch (a batch of one).  Before a batch runs, it lists what each of
+its checks reads (_reads: the compressed residual's key, and the products
+of the sides at the compressed arity, which a compressed pair reads only
+when its residual key misses), and after each check it drops every
+product and residual whose last reader that check was.  The end of the
+batch empties the caches, the shared key tuples with them.  So the caches
+hold only what a later check of the batch still reads, and nothing
+outside a batch.  Freeing too early could only make a product again,
+never change a verdict.
 
 The structural pattern reads the same word without its 00 letters, as a
 (10), b (01) and c (11): a pair has an admissible form exactly when its
@@ -42,9 +45,11 @@ word matches that form's template, a*c*b*a*, b*a*c*b* or c*b*a*c*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .pbw import AlgElem, Backend, bracket_q
@@ -88,6 +93,62 @@ _SHARED: set = set()
 # that a later chunk reads stays until it starts a chunk past f.
 _RETIRE: dict = {}
 
+# extension.compress(A, B, n) of the last pair compressed, by (A, B, n).
+# The scan's plan, and then its run, reads a pair's two checks in a row, so
+# each compresses the pair once.  Keeping every pair's compression would
+# hold all of them (1024 at n=5) through the scan.
+_COMPRESSED: dict = {}
+
+# Whether a batch is open (see _batch).
+_in_batch = False
+
+
+@contextmanager
+def _batch():
+    """One batch: the checks made inside it share the caches, and leaving
+    it empties them.  A batch opened inside another is part of it."""
+    global _in_batch
+    if _in_batch:
+        yield
+        return
+    _in_batch = True
+    try:
+        yield
+    finally:
+        _in_batch = False
+        _drop()
+
+
+def _open_batch():
+    """Open a batch that lasts as long as the process: a parallel scan's
+    worker runs inside the scan's batch, and its caches outlive each chunk
+    (see _run_chunk)."""
+    global _in_batch
+    _in_batch = True
+
+
+def _batch_of_one(fn):
+    """A call made outside any batch is a batch of one."""
+    @functools.wraps(fn)
+    def call(*args):
+        if _in_batch:
+            return fn(*args)
+        with _batch():
+            return fn(*args)
+    return call
+
+
+def _sorted(S):
+    return tuple(sorted(set(S)))
+
+
+def _compress(A, B, n):
+    c = _COMPRESSED.get((A, B, n))
+    if c is None:
+        _COMPRESSED.clear()
+        c = _COMPRESSED[A, B, n] = extension.compress(A, B, n)
+    return c
+
 
 def _prod_key(backend, n, ea, eb):
     return (backend, n, tuple(sorted(set(ea))), tuple(sorted(set(eb))))
@@ -113,12 +174,14 @@ def _free(keys):
         _SHARED.discard(key)
 
 
+def _drop():
+    """Empty the relation caches: what the end of a batch does."""
+    for cache in (_PROD_CACHE, _RESIDUAL_CACHE, _KEYS, _SHARED, _RETIRE, _COMPRESSED):
+        cache.clear()
+
+
 def clear_caches():
-    _PROD_CACHE.clear()
-    _RESIDUAL_CACHE.clear()
-    _KEYS.clear()
-    _SHARED.clear()
-    _RETIRE.clear()
+    _drop()
     extension.clear_cache()
 
 
@@ -203,6 +266,7 @@ def _lattice_sides(relation, A, B, n, backend):
             generator(lat, n, sym).scale(w) + (int_uni + amb_bma).scale(s))
 
 
+@_batch_of_one
 def _sides(relation, A, B, n, backend):
     return tuple(backend.lattice.from_lattice(x, 2)
                  for x in _lattice_sides(relation, A, B, n, backend))
@@ -210,8 +274,9 @@ def _sides(relation, A, B, n, backend):
 
 def star_sides(A, B, n, backend):
     """Left and right sides of the standard relation for the ordered pair,
-    in the published basis.  All generator products go through the shared
-    cache, so the commutation check of the same pair reuses them."""
+    in the published basis.  The generator products go through the shared
+    cache, so a check of the same pair in the same batch (run_batch)
+    reuses them."""
     return _sides("star", A, B, n, backend)
 
 
@@ -227,18 +292,20 @@ def _residual_key(backend, relation, m, n, A2, B2):
     return None if m == n else (backend, relation, m, A2, B2)
 
 
-def _reads(A, B, n, backend):
-    """What the checks of (A, B) inside [1;n] read from the caches: for
-    each relation, in the order _scan_pair checks them, the key of its
-    cached residual (None for a pair that does not compress) and the keys
-    of the products its sides are formed from, at the compressed arity.  A
-    compressed pair reads those products only when its residual key
-    misses."""
-    A2, B2, runs, _, _ = extension.compress(A, B, n)
+def _reads(backend, relation, A, B, n):
+    """What the check (relation, A, B, n) of a batch reads from the caches:
+    the key of its cached residual (None for a pair that does not compress,
+    and for sides) and the keys of the products its sides are formed from.
+    A check reads those products at the compressed arity, a compressed pair
+    only when its residual key misses; star_sides and comm_sides read them
+    at arity n."""
+    if relation.endswith("_sides"):
+        return None, [_prod_key(backend, n, X, Y)
+                      for X, Y in _products(relation[:-len("_sides")], A, B)]
+    A2, B2, runs, _, _ = _compress(A, B, n)
     m = len(runs)
-    return [(_residual_key(backend, relation, m, n, A2, B2),
-             [_prod_key(backend, m, X, Y) for X, Y in _products(relation, A2, B2)])
-            for relation in ("star", "comm")]
+    return (_residual_key(backend, relation, m, n, A2, B2),
+            [_prod_key(backend, m, X, Y) for X, Y in _products(relation, A2, B2)])
 
 
 def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
@@ -247,7 +314,7 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     does not compress goes through _lattice_sides directly; the residual
     of a compressed pair that stands for longer ones is cached, and a zero
     one lifts to zero at once."""
-    A2, B2, runs, left, right = extension.compress(A, B, n)
+    A2, B2, runs, left, right = _compress(A, B, n)
     m = len(runs)
     key = _residual_key(backend, relation, m, n, A2, B2)
     if key is None:
@@ -264,6 +331,7 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     return r.pad(left, right)
 
 
+@_batch_of_one
 def _check(relation, A, B, n, backend, keep_residual=True) -> RelationReport:
     """The residual of the relation at arity n, formed in the lattice from
     the compressed pair.  The holds flag and the term count are read off its
@@ -272,8 +340,7 @@ def _check(relation, A, B, n, backend, keep_residual=True) -> RelationReport:
     exact: the coproducts and the padding are injective algebra morphisms
     (the counit on either copy inverts a coproduct), so the lifted residual
     is the one the direct products would give."""
-    A = tuple(sorted(set(A)))
-    B = tuple(sorted(set(B)))
+    A, B = _sorted(A), _sorted(B)
     t0 = time.perf_counter()
     residual = _lattice_residual(relation, A, B, n, backend)
     published = backend.lattice.from_lattice(residual, 2) if keep_residual else None
@@ -322,6 +389,105 @@ def predict_pattern(A, B):
     return False, None
 
 
+# -- batches -----------------------------------------------------------------------
+
+# A batch runs a list of checks (relation, A, B, n), A and B sorted tuples:
+# relation "star" or "comm" is check_star or check_comm, "star_sides" or
+# "comm_sides" is star_sides or comm_sides of the pair, and "pair" is the
+# scan's check of both relations (_scan_pair).
+
+def _check_reads(backend, checks):
+    """For each check in order, the keys of the products and residuals it
+    reads, in the order it makes them, when the checks run in order from
+    caches that hold none of their residuals."""
+    seen = set()
+    for relation, A, B, n in checks:
+        keys = []
+        for part in ("star", "comm") if relation == "pair" else (relation,):
+            key, products = _reads(backend, part, A, B, n)
+            if key is not None:
+                keys.append(key)
+                if key in seen:
+                    continue
+                seen.add(key)
+            keys += products
+        yield keys
+
+
+def _chunk_tasks(backend, checks, size):
+    """The checks cut into contiguous chunks of the given size, each as
+    (checks, index, frees, keep): frees maps a check's index in the chunk to
+    the keys to drop after it, those whose last reader it is when no later
+    chunk reads them; keep maps every other key the chunk reads to the last
+    chunk that reads it."""
+    chunks = [checks[i:i + size] for i in range(0, len(checks), size)]
+    lasts = [{key: i for i, keys in enumerate(_check_reads(backend, chunk)) for key in keys}
+             for chunk in chunks]
+    final = {key: c for c, last in enumerate(lasts) for key in last}
+    tasks = []
+    for c, (chunk, last) in enumerate(zip(chunks, lasts)):
+        frees, keep = {}, {}
+        for key, i in last.items():
+            if final[key] == c:
+                frees.setdefault(i, []).append(key)
+            else:
+                keep[key] = final[key]
+        tasks.append((chunk, c, frees, keep))
+    return tasks
+
+
+def _run(backend, relation, A, B, n):
+    """One check of a batch, made through the module's public functions."""
+    if relation == "pair":
+        return _scan_pair(backend, A, B, n)
+    if relation.endswith("_sides"):
+        return (star_sides if relation == "star_sides" else comm_sides)(A, B, n, backend)
+    return (check_star if relation == "star" else check_comm)(A, B, n, backend)
+
+
+def _run_chunk(backend, checks, c, frees, keep):
+    """The results of chunk c, yielded in order.  A worker keeps its caches
+    from chunk to chunk: first drop what it holds for earlier chunks only,
+    and note when to drop the keys of this chunk that later chunks read."""
+    for f in [f for f in _RETIRE if f < c]:
+        _free(_RETIRE.pop(f))
+    for key, f in keep.items():
+        _RETIRE.setdefault(f, []).append(key)
+    for i, check in enumerate(checks):
+        result = _run(backend, *check)
+        _free(frees.get(i, ()))
+        yield result
+
+
+def _run_chunk_list(*task):
+    return list(_run_chunk(*task))
+
+
+def run_batch(backend, checks):
+    """The results of checks, a list of (relation, A, B, n), made in order
+    as one batch: the report of check_star or check_comm for "star" or
+    "comm", the published sides of star_sides or comm_sides for
+    "star_sides" or "comm_sides".  What two checks share is made once, and
+    each cached product and residual is dropped after the last check that
+    reads it."""
+    checks = [(relation, _sorted(A), _sorted(B), n) for relation, A, B, n in checks]
+    for relation, *_ in checks:
+        if relation not in ("star", "comm", "star_sides", "comm_sides", "pair"):
+            raise ValueError(f"unknown relation {relation!r}")
+    with _batch():
+        return [result for task in _chunk_tasks(backend, checks, len(checks) or 1)
+                for result in _run_chunk(backend, *task)]
+
+
+def _labelled(backend, cases):
+    """The reports of cases, a list of (label, relation, A, B, n), checked as
+    one batch, each with its label."""
+    reports = run_batch(backend, [case[1:] for case in cases])
+    for rep, case in zip(reports, cases):
+        rep.label = case[0]
+    return reports
+
+
 # -- suites ------------------------------------------------------------------------
 
 def subsets(n):
@@ -332,27 +498,23 @@ def subsets(n):
 
 def suite_commute(n, backend):
     """Containment commutation: every ordered pair B <= A <= [1;n]."""
-    reports = []
-    for A in subsets(n):
-        for r in range(len(A) + 1):
-            for B in itertools.combinations(A, r):
-                rep = check_comm(A, B, n, backend)
-                rep.label = "containment"
-                reports.append(rep)
-    return reports
+    return _labelled(backend, [("containment", "comm", A, B, n) for A in subsets(n)
+                               for r in range(len(A) + 1)
+                               for B in itertools.combinations(A, r)])
 
 
 def suite_theorem_B(n, backend):
     """The standard relation on every pair inside [1;n] that predict_pattern
     accepts, in sorted (A, B) order, with the decider's form and witness."""
-    reports = []
+    cases, witnesses = [], []
     for A, B in sorted(itertools.product(subsets(n), repeat=2)):
         ok, witness = predict_pattern(A, B)
         if ok:
-            rep = check_star(A, B, n, backend)
-            rep.label = f"quadruple-form-{witness[0]}"
-            rep.witness = witness
-            reports.append(rep)
+            cases.append((f"quadruple-form-{witness[0]}", "star", A, B, n))
+            witnesses.append(witness)
+    reports = _labelled(backend, cases)
+    for rep, witness in zip(reports, witnesses):
+        rep.witness = witness
     return reports
 
 
@@ -401,12 +563,9 @@ def fundamental_families(arity_limit=7):
 
 
 def suite_fundamental(backend, arity_limit=7):
-    reports = []
-    for name, k, ell, A, B, n in fundamental_families(arity_limit):
-        rep = check_star(A, B, n, backend)
-        rep.label = f"{name} k={k}" + ("" if ell is None else f" l={ell}")
-        reports.append(rep)
-    return reports
+    return _labelled(backend, [(f"{name} k={k}" + ("" if ell is None else f" l={ell}"),
+                                "star", A, B, n)
+                               for name, k, ell, A, B, n in fundamental_families(arity_limit)])
 
 
 # the fifteen explicit two-interval commutation relations
@@ -468,14 +627,10 @@ def named_star_cases():
 def suite_named_lemmas(backend):
     """Fixed regression list of commutation and standard-relation
     statements at small parameters."""
-    reports = []
-    for check, cases in ((check_comm, named_commutation_cases()),
-                         (check_star, named_star_cases())):
-        for label, A, B, n in cases:
-            rep = check(A, B, n, backend)
-            rep.label = label
-            reports.append(rep)
-    return reports
+    return _labelled(backend, [(label, relation, A, B, n)
+                               for relation, cases in (("comm", named_commutation_cases()),
+                                                       ("star", named_star_cases()))
+                               for label, A, B, n in cases])
 
 
 # -- nested q-commutator identities -------------------------------------------------
@@ -524,97 +679,38 @@ def q_identities_regression(backend):
 
 # -- the exhaustive pair scanner ------------------------------------------------------
 
-def _scan_pair(backend, n, A, B, done) -> RelationReport:
-    """Both verdicts and term counts of one pair; no residual is kept.
-    Afterwards the cached products and residuals with the keys in done,
-    whose last reader this pair is, are dropped."""
+def _scan_pair(backend, A, B, n) -> RelationReport:
+    """Both verdicts and term counts of one pair, and the pattern's
+    prediction; no residual is kept."""
     t0 = time.perf_counter()
     rep = check_star(A, B, n, backend, keep_residual=False)
     comm = check_comm(A, B, n, backend, keep_residual=False)
     rep.holds_comm, rep.residual_comm_terms = comm.holds_comm, comm.residual_comm_terms
     rep.pattern_predicted, rep.witness = predict_pattern(A, B)
-    _free(done)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
 
-def _pair_reads(backend, n, pairs):
-    """For each pair in order, the keys of the products and residuals its
-    two checks read, in the order _scan_pair makes them, when the pairs are
-    checked in order from caches that hold none of the pairs' residuals."""
-    seen = set()
-    for A, B in pairs:
-        keys = []
-        for key, products in _reads(A, B, n, backend):
-            if key is not None:
-                keys.append(key)
-                if key in seen:
-                    continue
-                seen.add(key)
-            keys += products
-        yield keys
-
-
-def _chunk_tasks(backend, n, pairs, size):
-    """The pairs cut into contiguous chunks of the given size, each as
-    (pairs, index, frees, keep): frees maps a pair's index in the chunk to
-    the keys to drop after it, those whose last reader it is when no later
-    chunk reads them; keep maps every other key the chunk reads to the last
-    chunk that reads it."""
-    chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-    lasts = [{key: i for i, keys in enumerate(_pair_reads(backend, n, chunk)) for key in keys}
-             for chunk in chunks]
-    final = {key: c for c, last in enumerate(lasts) for key in last}
-    tasks = []
-    for c, (chunk, last) in enumerate(zip(chunks, lasts)):
-        frees, keep = {}, {}
-        for key, i in last.items():
-            if final[key] == c:
-                frees.setdefault(i, []).append(key)
-            else:
-                keep[key] = final[key]
-        tasks.append((chunk, c, frees, keep))
-    return tasks
-
-
-def _run_chunk(backend, n, pairs, c, frees, keep):
-    """The reports of chunk c, yielded in order.  A worker keeps its caches
-    from chunk to chunk: first drop what it holds for earlier chunks only,
-    and note when to drop the keys of this chunk that later chunks read."""
-    for f in [f for f in _RETIRE if f < c]:
-        _free(_RETIRE.pop(f))
-    for key, f in keep.items():
-        _RETIRE.setdefault(f, []).append(key)
-    for i, (A, B) in enumerate(pairs):
-        yield _scan_pair(backend, n, A, B, frees.get(i, ()))
-
-
-def _run_chunk_list(*task):
-    return list(_run_chunk(*task))
-
-
 def _scan_reports(n, backend, workers):
     """The reports of every ordered pair, yielded in pair order.  A serial
-    scan is one chunk: each product and compressed residual is freed after
-    its last reader, so the caches hold only what a later pair still reads,
-    and none of it at the end.  With several workers the pairs go out in
+    scan is one chunk.  With several workers the pairs go out in
     contiguous chunks, a few per worker, and each chunk is yielded as soon
     as it and those before it are done.  A worker keeps what it made for
     the later chunks it may get (see _chunk_tasks), as a serial scan keeps
     it for later pairs: a pair and its transpose mostly fall in different
     chunks, and a worker that emptied its caches after each chunk would
     make each product at n=6 about three times."""
-    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
+    pairs = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
     if workers == 1:
-        (task,) = _chunk_tasks(backend, n, pairs, len(pairs))
-        yield from _run_chunk(backend, n, *task)
+        (task,) = _chunk_tasks(backend, pairs, len(pairs))
+        yield from _run_chunk(backend, *task)
         return
-    tasks = _chunk_tasks(backend, n, pairs, -(-len(pairs) // (4 * workers)))
+    tasks = _chunk_tasks(backend, pairs, -(-len(pairs) // (4 * workers)))
     # imported here, so a serial run never loads the pool
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_open_batch) as pool:
         for reports in pool.map(_run_chunk_list, itertools.repeat(backend),
-                                itertools.repeat(n), *zip(*tasks)):
+                                *zip(*tasks)):
             yield from reports
 
 
@@ -622,17 +718,19 @@ def scan(n, backend, workers=1, progress=None):
     """Classify every ordered pair of subsets of [1;n]: does the standard
     relation hold, does the commutator vanish, and does the structural
     pattern predict the former.  progress, if given, receives each
-    report in pair order as it becomes available.  Each cached product
-    and compressed residual is freed after the last pair that reads it
-    (counted from the pair list before the first check), so the scan
-    holds only what later pairs still need and leaves none of what it
-    read behind.  Returns (reports, summary)."""
+    report in pair order as it becomes available.  The scan is one batch:
+    each cached product and compressed residual is freed after the last
+    pair that reads it (counted from the pair list before the first
+    check), so the scan holds only what later pairs still need, and it
+    leaves none of what it read behind, the shared key tuples included.
+    Returns (reports, summary)."""
     t0 = time.perf_counter()
     reports = []
-    for rep in _scan_reports(n, backend, workers):
-        reports.append(rep)
-        if progress is not None:
-            progress(rep)
+    with _batch():
+        for rep in _scan_reports(n, backend, workers):
+            reports.append(rep)
+            if progress is not None:
+                progress(rep)
     disagreements = [r for r in reports if r.holds_star != r.pattern_predicted]
     containment_failures = [
         r for r in reports if _nested(r.A, r.B) and not r.holds_comm

@@ -332,8 +332,9 @@ def test_sum_strips_an_emptied_low_slot():
 
 
 def test_warm_relation_checks_make_no_polynomial_arithmetic(monkeypatch):
-    # once a pair's generators, products, residual and conversions are
-    # cached, check_star and check_comm make no LaurentPoly arithmetic:
+    # once a pair's generators and coefficient conversions are cached,
+    # check_star and check_comm make no LaurentPoly arithmetic, although
+    # each call is a batch of one that makes its products again:
     # ((1,3),(2,3)) at n=3 does not compress, ((1,2,3),(1,2,4)) at n=4
     # compresses to ((1,2),(1,3)) at n=3; both fail both relations, so
     # their residuals are lifted and converted

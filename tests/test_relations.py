@@ -361,8 +361,8 @@ def test_scan_frees_each_product_and_residual_after_its_last_reader(backend, mon
     from awbi import relations
     relations.clear_caches()
     n = 4
-    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
-    planned = list(relations._pair_reads(backend, n, pairs))
+    pairs = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
+    planned = list(relations._check_reads(backend, pairs))
     reads, misses, per_pair, live, products = [], [], [], [], set()
     prod = relations._prod
 
@@ -398,7 +398,7 @@ def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
     from awbi import relations
     relations.clear_caches()
     n = 4
-    pairs = [(A, B) for A in subsets(n) for B in subsets(n)]
+    pairs = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
     made = []
     prod = relations._prod
 
@@ -412,8 +412,83 @@ def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
     serial = scan(n, AW)[0]
     assert len(made) == len(set(made)) == 150
     made.clear()
-    reports = [rep for task in relations._chunk_tasks(AW, n, pairs, 40)
-               for rep in relations._run_chunk(AW, n, *task)]
+    # the worker runs inside the scan's batch, which outlives its chunks
+    with relations._batch():
+        reports = [rep for task in relations._chunk_tasks(AW, pairs, 40)
+                   for rep in relations._run_chunk(AW, *task)]
+        assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
     assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
     assert len(made) == len(set(made)) == 150
-    assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
+
+
+_CACHES = ("_PROD_CACHE", "_RESIDUAL_CACHE", "_KEYS", "_SHARED", "_RETIRE", "_COMPRESSED")
+
+
+def cache_sizes():
+    from awbi import relations
+    return {name: len(getattr(relations, name)) for name in _CACHES}
+
+
+def count_products_made(monkeypatch):
+    """Log the key of every product _prod makes, not finding it cached."""
+    from awbi import relations
+    made = []
+    prod = relations._prod
+
+    def logged_prod(b, m, ea, eb):
+        key = relations._prod_key(b, m, ea, eb)
+        if key not in relations._PROD_CACHE:
+            made.append(key)
+        return prod(b, m, ea, eb)
+
+    monkeypatch.setattr(relations, "_prod", logged_prod)
+    return made
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_single_checks_and_scans_leave_the_caches_empty(backend, monkeypatch):
+    # a call made outside any batch is a batch of one, and a scan is one
+    # batch: each drops what it made, the shared key tuples included
+    from awbi import relations
+    from awbi.relations import comm_sides, star_sides
+    relations.clear_caches()
+    empty = dict.fromkeys(_CACHES, 0)
+    made = count_products_made(monkeypatch)
+    # a pair that compresses to arity 3 and one that does not
+    for A, B, n in (((1, 2, 3), (1, 4), 5), ((1, 3), (2, 3), 3)):
+        for call in (check_star, check_comm, star_sides, comm_sides):
+            made.clear()
+            call(A, B, n, backend)
+            assert made and cache_sizes() == empty, (call.__name__, A, B, n)
+    scan(4, backend)
+    assert cache_sizes() == empty
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+@pytest.mark.parametrize("suite", (
+    lambda b: suite_commute(4, b), lambda b: suite_theorem_B(4, b),
+    suite_named_lemmas, lambda b: suite_fundamental(b, 5),
+), ids=("commute", "theorem_B", "named_lemmas", "fundamental"))
+def test_suites_make_each_product_once_and_leave_the_caches_empty(suite, backend, monkeypatch):
+    # a suite is one batch: a product that two of its checks read is made
+    # once and kept for the later one, and nothing is left after the suite.
+    # The fundamental families up to arity 5 share no product, so for them
+    # only the emptiness is at stake.
+    from awbi import relations
+    relations.clear_caches()
+    made = count_products_made(monkeypatch)
+    reports = suite(backend)
+    assert reports and all(r.label for r in reports)
+    assert len(made) == len(set(made))
+    assert cache_sizes() == dict.fromkeys(_CACHES, 0)
+
+
+def test_run_batch_checks_and_sides_share_products_and_reject_unknown_relations(monkeypatch):
+    # the pair does not compress, so its sides are the check's products
+    from awbi import relations
+    made = count_products_made(monkeypatch)
+    rep, (lhs, rhs) = relations.run_batch(AW, [("comm", (1, 2), (2, 3), 3),
+                                               ("comm_sides", (1, 2), (2, 3), 3)])
+    assert len(made) == 2 and rep.residual_comm == lhs - rhs
+    with pytest.raises(ValueError, match="starr"):
+        relations.run_batch(AW, [("starr", (1,), (2,), 2)])
