@@ -33,10 +33,12 @@ its checks reads (_reads: the compressed residual's key, and the products
 of the sides at the compressed arity, which a compressed pair reads only
 when its residual key misses), and after each check it drops every
 product and residual whose last reader that check was.  The end of the
-batch empties the caches, the shared key tuples with them.  So the caches
-hold only what a later check of the batch still reads, and nothing
-outside a batch.  Freeing too early could only make a product again,
-never change a verdict.
+batch empties the caches.  So the caches hold only what a later check of
+the batch still reads, and nothing outside a batch.  Freeing too early
+could only make a product again, never change a verdict.
+
+The scan runs each pair (A, B) next to its transpose (B, A), which reads
+the same products, and emits its reports in pair order (see scan).
 
 The structural pattern reads the same word without its 00 letters, as a
 (10), b (01) and c (11): a pair has an admissible form exactly when its
@@ -82,12 +84,6 @@ _PROD_CACHE: dict = {}
 # keyed by (backend, relation, arity, A, B) of the compressed pair.
 _RESIDUAL_CACHE: dict = {}
 
-# A product read again (in a scan, by the transpose pair at least) takes
-# its key tuples from _KEYS, shared with every other such product: products
-# repeat most of their keys.  A product read once is left as it was made.
-_KEYS: dict = {}
-_SHARED: set = set()
-
 # In a parallel scan's worker: chunk index f -> keys that chunk f reads
 # last.  A worker keeps its caches from chunk to chunk, so a key it made
 # that a later chunk reads stays until it starts a chunk past f.
@@ -117,14 +113,6 @@ def _batch():
     finally:
         _in_batch = False
         _drop()
-
-
-def _open_batch():
-    """Open a batch that lasts as long as the process: a parallel scan's
-    worker runs inside the scan's batch, and its caches outlive each chunk
-    (see _run_chunk)."""
-    global _in_batch
-    _in_batch = True
 
 
 def _batch_of_one(fn):
@@ -160,9 +148,6 @@ def _prod(backend, n, ea, eb) -> AlgElem:
     if p is None:
         lat = backend.lattice
         p = _PROD_CACHE[key] = generator(lat, n, key[2]) * generator(lat, n, key[3])
-    elif key not in _SHARED:
-        _SHARED.add(key)
-        p.terms = {_KEYS.setdefault(k, k): c for k, c in p.terms.items()}
     return p
 
 
@@ -171,12 +156,11 @@ def _free(keys):
     for key in keys:
         _PROD_CACHE.pop(key, None)
         _RESIDUAL_CACHE.pop(key, None)
-        _SHARED.discard(key)
 
 
 def _drop():
     """Empty the relation caches: what the end of a batch does."""
-    for cache in (_PROD_CACHE, _RESIDUAL_CACHE, _KEYS, _SHARED, _RETIRE, _COMPRESSED):
+    for cache in (_PROD_CACHE, _RESIDUAL_CACHE, _RETIRE, _COMPRESSED):
         cache.clear()
 
 
@@ -414,25 +398,22 @@ def _check_reads(backend, checks):
         yield keys
 
 
-def _chunk_tasks(backend, checks, size):
-    """The checks cut into contiguous chunks of the given size, each as
-    (checks, index, frees, keep): frees maps a check's index in the chunk to
-    the keys to drop after it, those whose last reader it is when no later
-    chunk reads them; keep maps every other key the chunk reads to the last
-    chunk that reads it."""
-    chunks = [checks[i:i + size] for i in range(0, len(checks), size)]
+def _chunk_tasks(backend, chunks):
+    """Each chunk, a list of checks that run in order after the chunks
+    before it, as (checks, index, frees, keep): frees maps a check's index
+    in the chunk to the keys to drop after it, those whose last reader it is
+    when no later chunk reads them; keep maps every other key the chunk
+    reads to the last chunk that reads it."""
     lasts = [{key: i for i, keys in enumerate(_check_reads(backend, chunk)) for key in keys}
              for chunk in chunks]
     final = {key: c for c, last in enumerate(lasts) for key in last}
     tasks = []
     for c, (chunk, last) in enumerate(zip(chunks, lasts)):
-        frees, keep = {}, {}
+        frees = {}
         for key, i in last.items():
             if final[key] == c:
                 frees.setdefault(i, []).append(key)
-            else:
-                keep[key] = final[key]
-        tasks.append((chunk, c, frees, keep))
+        tasks.append((chunk, c, frees, {key: final[key] for key in last if final[key] != c}))
     return tasks
 
 
@@ -460,6 +441,10 @@ def _run_chunk(backend, checks, c, frees, keep):
 
 
 def _run_chunk_list(*task):
+    """A chunk in a parallel scan's worker, which runs inside the scan's
+    batch: its caches outlive each chunk (see _run_chunk)."""
+    global _in_batch
+    _in_batch = True
     return list(_run_chunk(*task))
 
 
@@ -475,7 +460,7 @@ def run_batch(backend, checks):
         if relation not in ("star", "comm", "star_sides", "comm_sides", "pair"):
             raise ValueError(f"unknown relation {relation!r}")
     with _batch():
-        return [result for task in _chunk_tasks(backend, checks, len(checks) or 1)
+        return [result for task in _chunk_tasks(backend, [checks])
                 for result in _run_chunk(backend, *task)]
 
 
@@ -691,46 +676,61 @@ def _scan_pair(backend, A, B, n) -> RelationReport:
     return rep
 
 
+def _scan_chunks(n, workers):
+    """The scan's run order as pair indices (i * 2^n + j for (S_i, S_j), the
+    subsets in subset order), in chunks.  Row i checks (i, j) and then
+    (j, i) for each j from i onward.  A serial scan is one chunk; with
+    several workers the chunks are runs of whole rows, about four per
+    worker, balanced by pair count: a row goes to the chunk whose share of
+    the pairs holds its middle pair."""
+    N, k = 2 ** n, 1 if workers == 1 else 4 * workers
+    chunks, done = [[] for _ in range(k)], 0
+    for i in range(N):
+        row = list(dict.fromkeys(p for j in range(i, N) for p in (i * N + j, j * N + i)))
+        chunks[(2 * done + len(row)) * k // (2 * N * N)] += row
+        done += len(row)
+    return [chunk for chunk in chunks if chunk]
+
+
 def _scan_reports(n, backend, workers):
-    """The reports of every ordered pair, yielded in pair order.  A serial
-    scan is one chunk.  With several workers the pairs go out in
-    contiguous chunks, a few per worker, and each chunk is yielded as soon
-    as it and those before it are done.  A worker keeps what it made for
-    the later chunks it may get (see _chunk_tasks), as a serial scan keeps
-    it for later pairs: a pair and its transpose mostly fall in different
-    chunks, and a worker that emptied its caches after each chunk would
-    make each product at n=6 about three times."""
-    pairs = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
+    """Each pair's index and report, in the run order of _scan_chunks.  With
+    several workers each chunk's reports come back as soon as it and those
+    before it are done; a worker keeps what it made for the later chunks it
+    may get (see _chunk_tasks), as a serial scan keeps it for later pairs."""
+    sets = list(subsets(n))
+    chunks = _scan_chunks(n, workers)
+    tasks = _chunk_tasks(backend, [[("pair", sets[p // len(sets)], sets[p % len(sets)], n)
+                                    for p in chunk] for chunk in chunks])
     if workers == 1:
-        (task,) = _chunk_tasks(backend, pairs, len(pairs))
-        yield from _run_chunk(backend, *task)
+        yield from zip(chunks[0], _run_chunk(backend, *tasks[0]))
         return
-    tasks = _chunk_tasks(backend, pairs, -(-len(pairs) // (4 * workers)))
     # imported here, so a serial run never loads the pool
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers, initializer=_open_batch) as pool:
-        for reports in pool.map(_run_chunk_list, itertools.repeat(backend),
-                                *zip(*tasks)):
-            yield from reports
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from zip(itertools.chain(*chunks), itertools.chain.from_iterable(
+            pool.map(_run_chunk_list, itertools.repeat(backend), *zip(*tasks))))
 
 
 def scan(n, backend, workers=1, progress=None):
     """Classify every ordered pair of subsets of [1;n]: does the standard
     relation hold, does the commutator vanish, and does the structural
-    pattern predict the former.  progress, if given, receives each
-    report in pair order as it becomes available.  The scan is one batch:
-    each cached product and compressed residual is freed after the last
-    pair that reads it (counted from the pair list before the first
-    check), so the scan holds only what later pairs still need, and it
-    leaves none of what it read behind, the shared key tuples included.
-    Returns (reports, summary)."""
+    pattern predict the former.  The pairs run in grouped order, each
+    (A, B) next to (B, A) (see _scan_chunks), so a product lives about one
+    row of pairs, not 2^n rows.  Row A is complete when its pass ends, as
+    its pairs with an earlier B ran as transposes before; a report is held
+    until the pairs before it are in, so progress, if given, receives each
+    report in pair order, at most one row late.  The scan is one batch
+    (see the module docstring), planned in run order.  Returns (reports,
+    summary)."""
     t0 = time.perf_counter()
-    reports = []
+    reports, held = [], {}
     with _batch():
-        for rep in _scan_reports(n, backend, workers):
-            reports.append(rep)
-            if progress is not None:
-                progress(rep)
+        for p, rep in _scan_reports(n, backend, workers):
+            held[p] = rep
+            while len(reports) in held:
+                reports.append(held.pop(len(reports)))
+                if progress is not None:
+                    progress(reports[-1])
     disagreements = [r for r in reports if r.holds_star != r.pattern_predicted]
     containment_failures = [
         r for r in reports if _nested(r.A, r.B) and not r.holds_comm

@@ -325,25 +325,6 @@ def test_mirror_pair_has_equal_verdicts_and_commutator_count(backend):
                    (m.holds_star, m.holds_comm, m.residual_comm_terms), (n, A, B)
 
 
-def test_products_read_again_share_key_tuples():
-    # a scan reads most products again (for the transpose pair at least);
-    # those take their key tuples from one table, so equal keys across
-    # products are one object.  The scan frees each product after its last
-    # reader, so the shared products are looked at after every pair, and
-    # the pair after which they hold the most keys is checked.
-    from awbi import relations
-    relations.clear_caches()
-    seen = []
-
-    def look(rep):
-        keys = [k for key in relations._SHARED for k in relations._PROD_CACHE[key].terms]
-        seen.append((len(keys), len({id(k) for k in keys}), len(set(keys))))
-
-    scan(3, BI, progress=look)
-    total, objects, distinct = max(seen)
-    assert objects == distinct < total
-
-
 class _LoggedDict(dict):
     """A dict that records the key of every get."""
 
@@ -356,15 +337,39 @@ class _LoggedDict(dict):
         return super().get(key, default)
 
 
+def grouped_pairs(n):
+    """The scan's run order, built here from its description: row A checks
+    (A, B) and then (B, A), for each B from A onward in subset order."""
+    sets = list(subsets(n))
+    return [("pair", *pair) + (n,) for i, A in enumerate(sets) for B in sets[i:]
+            for pair in dict.fromkeys(((A, B), (B, A)))]
+
+
+def planned_peak(backend, checks):
+    """The most products live at once when the checks run in order and each
+    key is freed after its last reader, from the planner's list of reads.
+    Product keys have four fields, residual keys five."""
+    from awbi import relations
+    reads = list(relations._check_reads(backend, checks))
+    last = {key: i for i, keys in enumerate(reads) for key in keys}
+    live, peak = set(), 0
+    for i, keys in enumerate(reads):
+        for key in keys:
+            live.add(key)
+            peak = max(peak, sum(len(k) == 4 for k in live))
+        live -= {key for key in keys if last[key] == i}
+    return peak
+
+
 @pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
 def test_scan_frees_each_product_and_residual_after_its_last_reader(backend, monkeypatch):
     from awbi import relations
     relations.clear_caches()
     n = 4
-    pairs = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
+    pairs = grouped_pairs(n)
     planned = list(relations._check_reads(backend, pairs))
     reads, misses, per_pair, live, products = [], [], [], [], set()
-    prod = relations._prod
+    prod, scan_pair = relations._prod, relations._scan_pair
 
     def logged_prod(b, m, ea, eb):
         key = relations._prod_key(b, m, ea, eb)
@@ -374,31 +379,72 @@ def test_scan_frees_each_product_and_residual_after_its_last_reader(backend, mon
             misses.append(key)
         return prod(b, m, ea, eb)
 
-    def after_pair(rep):
+    def logged_pair(*args):
+        rep = scan_pair(*args)
         per_pair.append(reads[:])
         reads.clear()
         live.append(len(relations._PROD_CACHE))
+        return rep
 
     monkeypatch.setattr(relations, "_prod", logged_prod)
+    monkeypatch.setattr(relations, "_scan_pair", logged_pair)
     monkeypatch.setattr(relations, "_RESIDUAL_CACHE", _LoggedDict(reads))
-    scan(n, backend, progress=after_pair)
-    # the planner lists each pair's reads, residuals and products, in order
+    scan(n, backend)
+    # the planner lists each pair's reads, residuals and products, in the
+    # order the pairs run
     assert per_pair == planned
     # each product is made once
     assert len(misses) == len(set(misses)) == len(products) == 150
     # nothing the scan read is left, and the cache never held all of it
     assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
-    assert not relations._SHARED
     assert max(live) < len(products)
 
 
-def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
-    # one worker that gets every chunk keeps what later chunks read and
-    # drops the rest, so it makes each product once and ends empty
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_scan_runs_each_pair_next_to_its_transpose_and_streams_in_pair_order(backend, monkeypatch):
+    # a product of (A, B) is read again by (B, A); running the two next to
+    # each other lets it die young, so fewer products are live at the peak
     from awbi import relations
     relations.clear_caches()
     n = 4
-    pairs = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
+    in_pair_order = [("pair", A, B, n) for A in subsets(n) for B in subsets(n)]
+    grouped = planned_peak(backend, grouped_pairs(n))
+    assert grouped < planned_peak(backend, in_pair_order)
+    made, sizes = [], []
+    prod = relations._prod
+
+    def logged_prod(b, m, ea, eb):
+        key = relations._prod_key(b, m, ea, eb)
+        if key not in relations._PROD_CACHE:
+            made.append(key)
+        p = prod(b, m, ea, eb)
+        sizes.append(len(relations._PROD_CACHE))
+        return p
+
+    monkeypatch.setattr(relations, "_prod", logged_prod)
+    seen = []
+    serial, _ = scan(n, backend, progress=lambda rep: seen.append((rep.A, rep.B)))
+    assert len(made) == len(set(made)) == 150
+    assert max(sizes) == grouped
+    assert seen == [pair[1:3] for pair in in_pair_order]
+    parallel, _ = scan(n, backend, workers=2)
+    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+
+
+def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
+    # the chunks are whole grouped rows, so each pair's transpose is in its
+    # chunk; one worker that gets every chunk keeps what later chunks read
+    # and drops the rest, so it makes each product once and ends empty
+    from awbi import relations
+    relations.clear_caches()
+    n = 4
+    sets = list(subsets(n))
+    # four chunks per worker, together every pair once
+    chunks = relations._scan_chunks(n, 2)
+    assert len(chunks) == 8
+    assert sorted(p for chunk in chunks for p in chunk) == list(range(len(sets) ** 2))
+    for chunk in chunks:
+        assert {divmod(p, len(sets))[::-1] for p in chunk} == {divmod(p, len(sets)) for p in chunk}
     made = []
     prod = relations._prod
 
@@ -413,15 +459,19 @@ def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
     assert len(made) == len(set(made)) == 150
     made.clear()
     # the worker runs inside the scan's batch, which outlives its chunks
+    checks = [[("pair", sets[p // len(sets)], sets[p % len(sets)], n) for p in chunk]
+              for chunk in chunks]
     with relations._batch():
-        reports = [rep for task in relations._chunk_tasks(AW, pairs, 40)
+        reports = [rep for task in relations._chunk_tasks(AW, checks)
                    for rep in relations._run_chunk(AW, *task)]
         assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
-    assert [r.to_json() for r in reports] == [r.to_json() for r in serial]
+    order = [p for chunk in chunks for p in chunk]
+    assert [r.to_json() for _, r in sorted(zip(order, reports), key=lambda t: t[0])] == \
+           [r.to_json() for r in serial]
     assert len(made) == len(set(made)) == 150
 
 
-_CACHES = ("_PROD_CACHE", "_RESIDUAL_CACHE", "_KEYS", "_SHARED", "_RETIRE", "_COMPRESSED")
+_CACHES = ("_PROD_CACHE", "_RESIDUAL_CACHE", "_RETIRE", "_COMPRESSED")
 
 
 def cache_sizes():
@@ -448,7 +498,7 @@ def count_products_made(monkeypatch):
 @pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
 def test_single_checks_and_scans_leave_the_caches_empty(backend, monkeypatch):
     # a call made outside any batch is a batch of one, and a scan is one
-    # batch: each drops what it made, the shared key tuples included
+    # batch: each drops what it made
     from awbi import relations
     from awbi.relations import comm_sides, star_sides
     relations.clear_caches()
