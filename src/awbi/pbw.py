@@ -278,6 +278,8 @@ class Lattice(Backend):
     published constant, so each exchange step, which lowers both fields by
     one, contributes factor^(sum of weights - 1).  The relation scalars
     are (w * normaliser, s, plus, minus), as w scales a single generator.
+    side_scalars[residual] is (w, s, plus, minus, 1), 1 the commutator's
+    right scalar, with w, s and 1 negated for a residual lhs - rhs.
     A coefficient that is not integral raises ValueError naming the
     backend and the monomial.
 
@@ -295,7 +297,7 @@ class Lattice(Backend):
     """
 
     __slots__ = ("backend", "weights", "factor", "normaliser", "width",
-                 "letter_scale", "_weight", "_scales", "_back", "_tables")
+                 "side_scalars", "letter_scale", "_weight", "_scales", "_back", "_tables")
 
     WIDTH = 64
     one, zero = LaurentPoly.mono(0), LaurentPoly.zero()
@@ -328,6 +330,9 @@ class Lattice(Backend):
             {m: self.rescale(c, (m,), 0, 1) for m, c in backend.casimir.items()},
             alphabets, tuple(casimir_delta), backend.rescaling,
             tuple(map(self.integral, (w * self.normaliser, *rest))))
+        w, s, plus, minus = self.relation
+        self.side_scalars = ((w, s, plus, minus, self.one),
+                             (-w, -s, plus, minus, -self.one))
         self._lattice = self
 
     def _alphabet(self, side, alpha):
@@ -489,27 +494,47 @@ def _kron_unpack(p, s, k):
     return LaurentPoly(d, _trusted=True)
 
 
-def _accumulate(out, key, p, s, k, mask):
-    """out[key] += (p, s) for canonical values at slot width k, mask 2^k - 1:
-    a zero sum is dropped, an emptied low slot stripped.  Both can happen
-    only at equal valuations, and are exact while every partial sum has l1
-    norm below 2^(k-1)."""
-    cur = out.get(key)
-    if cur is not None:
-        p0, s0 = cur
-        if s0 < s:
-            p, s = p0 + (p << k * (s - s0)), s0
-        elif s0 > s:
-            p += p0 << k * (s0 - s)
-        else:
-            p += p0
-            if not p:
-                del out[key]
-                return
-            while not p & mask:
-                p >>= k
-                s += 1
-    out[key] = (p, s)
+def lincomb(parts):
+    """sum c x over the (c, x) of parts, LaurentPoly scalars c and lattice
+    elements x of one arity, in one pass.  Its bound, sum l1(c) x.bound,
+    and width, _width(bound, max x.k), are the ones the chain of scale, +
+    and - reaches, so it is that chain's canonical element.  The first
+    operand seeds the term dict (c x is canonical: its lowest coefficient
+    is the nonzero product of the lowest ones); every other term is added
+    in place.  A partial sum at a key sums a subset of the c x[key], so it
+    stays below bound < 2^(k-1) and is exact in any order.  A zero scalar
+    drops out with its operand, as x.scale(0) is a fresh zero."""
+    x = parts[0][1]
+    parts = [(c, y) for c, y in parts if c]
+    bound = sum(_l1(c) * y.bound for c, y in parts)
+    k = _width(bound, max((y.k for _, y in parts), default=x.backend.lattice.width))
+    mask, out = (1 << k) - 1, {}
+    for c, y in parts:
+        pc, sc = _kron_pack(c, k)
+        terms = y._at(k).terms
+        if not out:
+            out = (dict(terms) if (pc, sc) == (1, 0) else
+                   {key: (p * pc, s + sc) for key, (p, s) in terms.items()})
+            continue
+        for key, (p, s) in terms.items():
+            p, s = p * pc, s + sc
+            cur = out.get(key)
+            if cur is not None:
+                p0, s0 = cur
+                if s0 < s:
+                    p, s = p0 + (p << k * (s - s0)), s0
+                elif s0 > s:
+                    p += p0 << k * (s0 - s)
+                else:               # a zero sum is dropped, an
+                    p += p0         # emptied low slot stripped
+                    if not p:
+                        del out[key]
+                        continue
+                    while not p & mask:
+                        p >>= k
+                        s += 1
+            out[key] = (p, s)
+    return EdgeElem(x.backend, x.arity, out, k, bound)
 
 
 def _halves(x, h):
@@ -841,7 +866,8 @@ class EdgeElem(AlgElem):
 
     bound < 2^(k-1) certifies the element's l1 norm, the sum of its
     coefficients' l1 norms, so every unpacking and zero test is exact.  A
-    sum adds the bounds, scale(c) multiplies by l1(c), a product takes
+    linear combination sum c_i x_i (lincomb: every sum, difference and
+    scaling) takes sum l1(c_i) bound_i, a product takes
     Lattice.product_bound, pad keeps it, and a substitution (_substitute:
     the seed, coactions, coproducts, counits, each side's letter PBW in
     expand) multiplies it by the largest row l1 sum of its table over the
@@ -908,26 +934,11 @@ class EdgeElem(AlgElem):
         return self._at(k).terms == other._at(k).terms
 
     def _combine(self, other, sign):
-        bound = self.bound + other.bound
-        k = _width(bound, max(self.k, other.k))
-        out, mask = dict(self._at(k).terms), (1 << k) - 1
-        for key, (p, s) in other._at(k).terms.items():
-            _accumulate(out, key, sign * p, s, k, mask)
-        return EdgeElem(self.backend, self.arity, out, k, bound)
+        return lincomb([(Lattice.one, self), (LaurentPoly.mono(0, sign), other)])
 
     def scale(self, c: LaurentPoly):
-        """c times the element, canonical: the lowest coefficient of a
-        product is the nonzero product of the lowest ones."""
-        if c.is_zero():
-            return AlgElem.zero(self.backend, self.arity)
-        if c.is_one():
-            return self
-        bound = self.bound * _l1(c)
-        x = self._at(_width(bound, self.k))
-        pc, sc = _kron_pack(c, x.k)
-        return EdgeElem(self.backend, self.arity,
-                        {key: (p * pc, s + sc) for key, (p, s) in x.terms.items()},
-                        x.k, bound)
+        """c times the element (lincomb)."""
+        return self if c.is_one() else lincomb([(c, self)])
 
     def _times(self, other):
         """The normal-form product, met in the middle: keys split at leg
@@ -960,7 +971,7 @@ class EdgeElem(AlgElem):
                             for lk, pl, sl in lefts:
                                 kk, p, s = lk + rk, p12 * pl * pr, s12 + sl + sr
                                 cur = out.get(kk)
-                                if cur is not None:     # _accumulate, inlined
+                                if cur is not None:     # as in lincomb, inlined
                                     p0, s0 = cur
                                     if s0 < s:
                                         p, s = p0 + (p << k * (s - s0)), s0
@@ -1027,7 +1038,7 @@ class EdgeElem(AlgElem):
             for legs, pr, sr in rows[key[i]]:
                 kk, pp, ss = head + legs + tail, p * pr, s + sr
                 cur = out.get(kk)
-                if cur is not None:         # _accumulate, inlined
+                if cur is not None:         # as in lincomb, inlined
                     p0, s0 = cur
                     if s0 < ss:
                         pp, ss = p0 + (pp << k * (ss - s0)), s0

@@ -8,9 +8,10 @@ check_comm keep the residual (left minus right side in normal form) for
 inspection; the scan keeps only the verdicts and term counts.  Both
 relations go through one routine that works in the backend's lattice
 (pbw.Lattice), over Z[v, v^-1], on packed elements (pbw.EdgeElem) from the
-generators through the products, scalings and sums of each side to the
-residual and its lift; only the residuals check_* keep and the sides
-handed to callers are converted back to the published basis.
+generators through the products to the residual, formed from the products
+and a generator as one linear combination in one pass (pbw.lincomb), and
+its lift; only the residuals check_* keep and the sides handed to callers,
+each also one pass, are converted back to the published basis.
 
 That routine decides each pair at its compressed arity
 (extension.compress): every set a relation uses (A, B, their
@@ -54,7 +55,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .pbw import AlgElem, Backend, bracket_q
+from .pbw import AlgElem, Backend, bracket_q, lincomb
 from .qcoeff import ONE
 from . import extension
 from .extension import generator
@@ -235,25 +236,28 @@ def _products(relation, A, B):
             (tuple(sorted(sa - sb)), tuple(sorted(sb - sa))))
 
 
-def _lattice_sides(relation, A, B, n, backend):
+def _lattice_sides(relation, A, B, n, backend, residual=False):
     """Both lattice sides, normaliser^2 times the published ones, of
     G_A G_B = G_B G_A ("comm") or of the standard relation ("star")
-        plus*G_A*G_B + minus*G_B*G_A = w*G_sym + s*(G_int*G_uni + G_AmB*G_BmA)."""
+        plus*G_A*G_B + minus*G_B*G_A = w*G_sym + s*(G_int*G_uni + G_AmB*G_BmA),
+    each as its list of (scalar, element) parts, which pbw.lincomb forms in
+    one pass; with residual, the one list of lhs - rhs, the right side's
+    scalars negated (Lattice.side_scalars)."""
     ab, ba, *rest = [_prod(backend, n, X, Y) for X, Y in _products(relation, A, B)]
-    if relation == "comm":
-        return ab, ba
     lat = backend.lattice
-    w, s, plus, minus = lat.relation
-    int_uni, amb_bma = rest
-    sym = tuple(sorted(set(A) ^ set(B)))
-    return (ab.scale(plus) + ba.scale(minus),
-            generator(lat, n, sym).scale(w) + (int_uni + amb_bma).scale(s))
+    w, s, plus, minus, one = lat.side_scalars[residual]
+    if relation == "comm":
+        lhs, rhs = [(lat.one, ab)], [(one, ba)]
+    else:
+        sym = generator(lat, n, tuple(sorted(set(A) ^ set(B))))
+        lhs, rhs = [(plus, ab), (minus, ba)], [(w, sym), (s, rest[0]), (s, rest[1])]
+    return lhs + rhs if residual else (lhs, rhs)
 
 
 @_batch_of_one
 def _sides(relation, A, B, n, backend):
-    return tuple(backend.lattice.from_lattice(x, 2)
-                 for x in _lattice_sides(relation, A, B, n, backend))
+    return tuple(backend.lattice.from_lattice(lincomb(side), 2)
+                 for side in _lattice_sides(relation, A, B, n, backend))
 
 
 def star_sides(A, B, n, backend):
@@ -294,20 +298,20 @@ def _reads(backend, relation, A, B, n):
 
 def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     """lhs - rhs of the relation in the lattice, decided at the compressed
-    arity and lifted back to n (see the module docstring).  A pair that
-    does not compress goes through _lattice_sides directly; the residual
+    arity and lifted back to n (see the module docstring): one linear
+    combination of the compressed pair's four products and generator, or
+    two products for "comm", formed in one pass (_lattice_sides, lincomb).
+    A pair that does not compress is its own compressed pair; the residual
     of a compressed pair that stands for longer ones is cached, and a zero
     one lifts to zero at once."""
     A2, B2, runs, left, right = _compress(A, B, n)
     m = len(runs)
     key = _residual_key(backend, relation, m, n, A2, B2)
     if key is None:
-        lhs, rhs = _lattice_sides(relation, A2, B2, n, backend)
-        return lhs - rhs
+        return lincomb(_lattice_sides(relation, A2, B2, n, backend, True))
     r = _RESIDUAL_CACHE.get(key)
     if r is None:
-        lhs, rhs = _lattice_sides(relation, A2, B2, m, backend)
-        r = _RESIDUAL_CACHE[key] = lhs - rhs
+        r = _RESIDUAL_CACHE[key] = lincomb(_lattice_sides(relation, A2, B2, m, backend, True))
     if r.is_zero():
         return AlgElem.zero(backend.lattice, n)
     for _, j in extension.widen(runs):
@@ -520,30 +524,15 @@ def fundamental_families(arity_limit=7):
         out.append(("C3", k, None, (1, 2 * k + 1), (1, 2) + evens(k)[1:], n))
     for k in range(1, arity_limit):
         for ell in range(0, arity_limit):
-            mid = tuple(range(2 * k + 1, 2 * k + 2 * ell + 2, 2))
-            mid_g = tuple(range(2 * k + 2, 2 * k + 2 * ell + 3, 2))
-            n0 = 2 * k + 2 * ell + 2
-            n1 = 2 * k + 2 * ell + 3
-            if n0 <= arity_limit:
-                out.append(("C4", k, ell,
-                            (1, 2) + evens(k)[1:] + (2 * k + 2 * ell + 2,),
-                            evens(k) + mid, n0))
-                out.append(("C5", k, ell,
-                            evens(k) + mid,
-                            (1,) + mid + (2 * k + 2 * ell + 2,), n0))
-                out.append(("C6", k, ell,
-                            (1,) + mid + (2 * k + 2 * ell + 2,),
-                            (1, 2) + evens(k)[1:] + (2 * k + 2 * ell + 2,), n0))
-            if n1 <= arity_limit:
-                out.append(("C4'", k, ell,
-                            (1, 2) + evens(k)[1:] + (2 * k + 2 * ell + 3,),
-                            evens(k) + mid_g, n1))
-                out.append(("C5'", k, ell,
-                            evens(k) + mid_g,
-                            (1,) + mid_g + (2 * k + 2 * ell + 3,), n1))
-                out.append(("C6'", k, ell,
-                            (1,) + mid_g + (2 * k + 2 * ell + 3,),
-                            (1, 2) + evens(k)[1:] + (2 * k + 2 * ell + 3,), n1))
+            # C4-C6 at n = 2k + 2l + 2, middle from leg 2k + 1; C4'-C6' at n + 1, from 2k + 2
+            for n, off, tag in ((2 * k + 2 * ell + 2, 1, ""), (2 * k + 2 * ell + 3, 2, "'")):
+                if n > arity_limit:
+                    continue
+                mid = tuple(range(2 * k + off, 2 * k + 2 * ell + 1 + off, 2))
+                head = (1, 2) + evens(k)[1:] + (n,)
+                out.append(("C4" + tag, k, ell, head, evens(k) + mid, n))
+                out.append(("C5" + tag, k, ell, evens(k) + mid, (1,) + mid + (n,), n))
+                out.append(("C6" + tag, k, ell, (1,) + mid + (n,), head, n))
     return out
 
 

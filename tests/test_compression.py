@@ -6,6 +6,7 @@ import pytest
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
 from awbi.extension import compress, generator
+from awbi.pbw import lincomb
 from awbi.relations import _check, _lattice_sides, subsets
 
 AW, BI = uq.AW, osp.BI
@@ -55,7 +56,7 @@ def _direct_residual(relation, A, B, n, backend):
     """lhs - rhs of the products at arity n, converted back, after checking
     that _check reports this residual and its verdict for the pair."""
     rep = _check(relation, A, B, n, backend)
-    lhs, rhs = _lattice_sides(relation, A, B, n, backend)
+    lhs, rhs = map(lincomb, _lattice_sides(relation, A, B, n, backend))
     direct = backend.lattice.from_lattice(lhs - rhs, 2)
     assert getattr(rep, "residual_" + relation) == direct, (A, B, n, relation)
     assert getattr(rep, "holds_" + relation) == direct.is_zero()

@@ -8,6 +8,8 @@ through.  The slot width grows with the l1 bound across 2^(k-1) in
 products, builds and relation checks, and neither a warm product, a warm
 build nor a warm relation check makes LaurentPoly arithmetic."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -385,3 +387,111 @@ def test_relation_checks_repack_past_a_narrow_slot_width(backend, monkeypatch):
     assert got == want
     assert any(k == 8 for k, _ in widened) and all(k2 > k for k, k2 in widened)
     assert any(not r.is_zero() for pair in got for r in pair)
+
+
+def chained(parts):
+    """sum c x over parts by the chain of scalings and sums, one operation
+    at a time."""
+    total = None
+    for c, x in parts:
+        total = x.scale(c) if total is None else total + x.scale(c)
+    return total
+
+
+def assert_one_pass_equals_chain(parts):
+    """lincomb(parts) is the chain's element, with its terms, slot width and
+    bound, and the packed form of the Laurent polynomial reference."""
+    lat, arity = parts[0][1].backend, parts[0][1].arity
+    got, want = pbw.lincomb(parts), chained(parts)
+    assert (got.terms, got.k, got.bound) == (want.terms, want.k, want.bound)
+    reference = pbw.term_dict(*((key, c * v) for c, x in parts
+                                for key, v in x.laurent_terms().items()))
+    assert_certified(got, AlgElem(lat, arity, reference))
+    return got
+
+
+@pytest.mark.parametrize("backend", [AW, BI], ids=lambda b: b.name)
+def test_one_pass_combination_equals_the_chain(backend, monkeypatch):
+    lat = backend.lattice
+    w, s, plus, minus, _ = lat.side_scalars[True]
+    rng = random.Random(f"lincomb-{backend.name}")
+    one, zero = LaurentPoly.mono(0), LaurentPoly.zero()
+    for n, A, B in ((3, (1, 3), (2, 3)), (3, (1, 2), (2, 3)), (4, (1, 3), (2, 4))):
+        # the standard relation's residual; (1,2),(2,3) holds, so it cancels
+        # to exactly zero
+        g = lambda *S: generator(lat, n, S)
+        sa, sb = set(A), set(B)
+        parts = [(plus, g(*A) * g(*B)), (minus, g(*B) * g(*A)), (w, g(*sorted(sa ^ sb))),
+                 (s, g(*sorted(sa & sb)) * g(*sorted(sa | sb))),
+                 (s, g(*sorted(sa - sb)) * g(*sorted(sb - sa)))]
+        got = assert_one_pass_equals_chain(parts)
+        assert got.is_zero() == (A == (1, 2))
+        assert_one_pass_equals_chain([(one, parts[0][1]), (-one, parts[0][1])])
+    # operands at two slot widths, a zero scalar, and empty operands: a
+    # fresh one and a cancelled one that kept its width and bound
+    arity = 2
+    wide = lat.element(arity, {k: c * LaurentPoly.mono(0, 1 << 70)
+                               for k, c in random_terms(rng, backend, arity, 3).items()})
+    plain = lat.element(arity, random_terms(rng, backend, arity, 6))
+    cancelled = wide - wide
+    assert wide.k > plain.k == lat.width and cancelled.is_zero() and cancelled.k == wide.k
+    for parts in ([(random_poly(rng), plain), (random_poly(rng), wide)],
+                  [(random_poly(rng), wide), (zero, plain), (random_poly(rng), plain)],
+                  [(zero, wide), (random_poly(rng), plain)],
+                  [(random_poly(rng), lat.element(arity, {})), (random_poly(rng), plain)],
+                  [(random_poly(rng), plain), (random_poly(rng), cancelled)],
+                  [(zero, plain)]):
+        assert_one_pass_equals_chain(parts)
+    # on a fresh lattice at slot width 8 the bound crosses 2^7 in the
+    # combination, not in its operands, and the result repacks
+    fresh = Lattice(backend)
+    fresh.width = 8
+    monkeypatch.setattr(backend, "_lattice", fresh)
+    key = (backend.identity,) * arity
+    x = fresh.element(arity, {key: LaurentPoly({0: 30, 2: -30})})
+    y = fresh.element(arity, {key: LaurentPoly({1: 50})})
+    got = assert_one_pass_equals_chain([(LaurentPoly({0: 1, 1: 1}), x), (one, y)])
+    assert x.k == y.k == 8 and got.bound == 170 and got.k == 16
+
+
+# check_star, check_comm, star_sides and comm_sides of both pairs of
+# test_warm_relation_checks_make_no_polynomial_arithmetic: the first 16 hex
+# digits of the sha256 of the report's and of the sides' sorted JSON, as
+# the chain of scalings and sums gave them
+ONE_PASS_PINS = {
+    ("aw", (1, 3), (2, 3), 3, "star"): ("173e165be7edd71f", "07b1ea558de1ffce"),
+    ("aw", (1, 3), (2, 3), 3, "comm"): ("c1c7d6cc42eb46ca", "483a7cdba4a63ff5"),
+    ("aw", (1, 2, 3), (1, 2, 4), 4, "star"): ("7d6e1d5fa8a96d0e", "1416a6df9e7d8922"),
+    ("aw", (1, 2, 3), (1, 2, 4), 4, "comm"): ("a613b3512b8c9847", "f3be1735f2a6fab9"),
+    ("bi", (1, 3), (2, 3), 3, "star"): ("8bfcf5b6dcb791ec", "f9f6f9f3f89d52de"),
+    ("bi", (1, 3), (2, 3), 3, "comm"): ("a5f753097eb9afe0", "ce8483f66cd90681"),
+    ("bi", (1, 2, 3), (1, 2, 4), 4, "star"): ("32da3094a30c8087", "9c79c8f0d6d3a9e7"),
+    ("bi", (1, 2, 3), (1, 2, 4), 4, "comm"): ("233fc70b914e6bf7", "35dcc904d1e2886d"),
+}
+
+
+def test_relation_checks_and_sides_make_no_chain_of_scalings_and_sums(monkeypatch):
+    # each side, and the residual, is one lincomb pass: no EdgeElem.scale
+    # and no EdgeElem._combine, from cold caches on
+    calls = []
+
+    def counted(name):
+        real = getattr(EdgeElem, name)
+
+        def method(*args):
+            calls.append(name)
+            return real(*args)
+        return method
+
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+    relations.clear_caches()
+    for name in ("scale", "_combine"):
+        monkeypatch.setattr(EdgeElem, name, counted(name))
+    for (name, A, B, n, relation), pins in ONE_PASS_PINS.items():
+        backend = relations.get_backend(name)
+        report = getattr(relations, "check_" + relation)(A, B, n, backend)
+        sides = getattr(relations, relation + "_sides")(A, B, n, backend)
+        assert calls == [], (name, A, B, relation)
+        assert (digest(report.to_json()), digest([x.to_json() for x in sides])) == pins

@@ -542,3 +542,21 @@ def test_run_batch_checks_and_sides_share_products_and_reject_unknown_relations(
     assert len(made) == 2 and rep.residual_comm == lhs - rhs
     with pytest.raises(ValueError, match="starr"):
         relations.run_batch(AW, [("starr", (1,), (2,), 2)])
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_sides_and_residual_agree(backend):
+    # the sides and the residual are formed in separate passes; for every
+    # pair at n <= 3 and both relations, lhs - rhs of the published sides
+    # is the published residual of the check
+    from awbi import relations
+    checks = [(kind, A, B, n) for n in (1, 2, 3) for A in subsets(n) for B in subsets(n)
+              for relation in ("star", "comm") for kind in (relation, relation + "_sides")]
+    results = relations.run_batch(backend, checks)
+    failing = set()
+    for (kind, A, B, n), report, (lhs, rhs) in zip(checks[::2], results[::2], results[1::2]):
+        residual = getattr(report, "residual_" + kind)
+        assert lhs - rhs == residual, (A, B, n, kind)
+        if not residual.is_zero():
+            failing.add(kind)
+    assert failing == {"star", "comm"}
