@@ -39,6 +39,7 @@ range.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -203,6 +204,9 @@ def plan_derived(A: IndexSet) -> MorphismPlan:
     return MorphismPlan(plan_right(IndexSet(len(runs), base)).steps + widen(runs))
 
 
+# A relation batch asks for a pair's compression for its two checks in a
+# row, as it plans and as it runs; its end clears the memo (relations._drop).
+@functools.lru_cache(maxsize=1)
 def compress(A, B, n):
     """The compressed pair of (A, B) inside [1;n], as (A', B', runs, left,
     right): runs holds the length of each run of equal membership letters

@@ -27,16 +27,16 @@ So the residual at arity n is the compressed residual widened and then
 padded: the same element, zero exactly when the compressed one is.
 
 Every check runs in a batch, and what a batch caches lives from its first
-reader to its last.  A batch is a scan, a suite, a run_batch call, or a
-single check_star, check_comm, star_sides or comm_sides call made outside
-any batch (a batch of one).  Before a batch runs, it lists what each of
-its checks reads (_reads: the compressed residual's key, and the products
-of the sides at the compressed arity, which a compressed pair reads only
-when its residual key misses), and after each check it drops every
-product and residual whose last reader that check was.  The end of the
-batch empties the caches.  So the caches hold only what a later check of
-the batch still reads, and nothing outside a batch.  Freeing too early
-could only make a product again, never change a verdict.
+reader to its last.  A batch is a serial scan, a parallel scan's worker,
+a suite, a run_batch call, or a single check_star, check_comm, star_sides
+or comm_sides call made outside any batch (a batch of one).  A batch
+(_batch) first lists what each of its checks reads (_reads: the compressed
+residual's key, and the products of the sides at the compressed arity,
+which a compressed pair reads only when its residual key misses), and
+after each check it drops every product and residual whose last reader
+that check was.  Its end empties the caches.  So the caches hold only what
+a later check of the batch still reads, and nothing outside a batch.
+Freeing too early could only make a product again, never change a verdict.
 
 The scan runs each pair (A, B) next to its transpose (B, A), which reads
 the same products, and emits its reports in pair order (see scan).
@@ -48,11 +48,11 @@ word matches that form's template, a*c*b*a*, b*a*c*b* or c*b*a*c*.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .pbw import AlgElem, Backend, bracket_q, lincomb
@@ -85,35 +85,8 @@ _PROD_CACHE: dict = {}
 # keyed by (backend, relation, arity, A, B) of the compressed pair.
 _RESIDUAL_CACHE: dict = {}
 
-# In a parallel scan's worker: chunk index f -> keys that chunk f reads
-# last.  A worker keeps its caches from chunk to chunk, so a key it made
-# that a later chunk reads stays until it starts a chunk past f.
-_RETIRE: dict = {}
-
-# extension.compress(A, B, n) of the last pair compressed, by (A, B, n).
-# The scan's plan, and then its run, reads a pair's two checks in a row, so
-# each compresses the pair once.  Keeping every pair's compression would
-# hold all of them (1024 at n=5) through the scan.
-_COMPRESSED: dict = {}
-
-# Whether a batch is open (see _batch).
+# Whether a batch is running (see _batch).
 _in_batch = False
-
-
-@contextmanager
-def _batch():
-    """One batch: the checks made inside it share the caches, and leaving
-    it empties them.  A batch opened inside another is part of it."""
-    global _in_batch
-    if _in_batch:
-        yield
-        return
-    _in_batch = True
-    try:
-        yield
-    finally:
-        _in_batch = False
-        _drop()
 
 
 def _batch_of_one(fn):
@@ -122,21 +95,15 @@ def _batch_of_one(fn):
     def call(*args):
         if _in_batch:
             return fn(*args)
-        with _batch():
+        try:
             return fn(*args)
+        finally:
+            _drop()
     return call
 
 
 def _sorted(S):
     return tuple(sorted(set(S)))
-
-
-def _compress(A, B, n):
-    c = _COMPRESSED.get((A, B, n))
-    if c is None:
-        _COMPRESSED.clear()
-        c = _COMPRESSED[A, B, n] = extension.compress(A, B, n)
-    return c
 
 
 def _prod_key(backend, n, ea, eb):
@@ -152,17 +119,11 @@ def _prod(backend, n, ea, eb) -> AlgElem:
     return p
 
 
-def _free(keys):
-    """Drop the products and compressed residuals with these keys."""
-    for key in keys:
-        _PROD_CACHE.pop(key, None)
-        _RESIDUAL_CACHE.pop(key, None)
-
-
 def _drop():
     """Empty the relation caches: what the end of a batch does."""
-    for cache in (_PROD_CACHE, _RESIDUAL_CACHE, _RETIRE, _COMPRESSED):
-        cache.clear()
+    _PROD_CACHE.clear()
+    _RESIDUAL_CACHE.clear()
+    extension.compress.cache_clear()
 
 
 def clear_caches():
@@ -290,7 +251,7 @@ def _reads(backend, relation, A, B, n):
     if relation.endswith("_sides"):
         return None, [_prod_key(backend, n, X, Y)
                       for X, Y in _products(relation[:-len("_sides")], A, B)]
-    A2, B2, runs, _, _ = _compress(A, B, n)
+    A2, B2, runs, _, _ = extension.compress(A, B, n)
     m = len(runs)
     return (_residual_key(backend, relation, m, n, A2, B2),
             [_prod_key(backend, m, X, Y) for X, Y in _products(relation, A2, B2)])
@@ -304,7 +265,7 @@ def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
     A pair that does not compress is its own compressed pair; the residual
     of a compressed pair that stands for longer ones is cached, and a zero
     one lifts to zero at once."""
-    A2, B2, runs, left, right = _compress(A, B, n)
+    A2, B2, runs, left, right = extension.compress(A, B, n)
     m = len(runs)
     key = _residual_key(backend, relation, m, n, A2, B2)
     if key is None:
@@ -402,25 +363,6 @@ def _check_reads(backend, checks):
         yield keys
 
 
-def _chunk_tasks(backend, chunks):
-    """Each chunk, a list of checks that run in order after the chunks
-    before it, as (checks, index, frees, keep): frees maps a check's index
-    in the chunk to the keys to drop after it, those whose last reader it is
-    when no later chunk reads them; keep maps every other key the chunk
-    reads to the last chunk that reads it."""
-    lasts = [{key: i for i, keys in enumerate(_check_reads(backend, chunk)) for key in keys}
-             for chunk in chunks]
-    final = {key: c for c, last in enumerate(lasts) for key in last}
-    tasks = []
-    for c, (chunk, last) in enumerate(zip(chunks, lasts)):
-        frees = {}
-        for key, i in last.items():
-            if final[key] == c:
-                frees.setdefault(i, []).append(key)
-        tasks.append((chunk, c, frees, {key: final[key] for key in last if final[key] != c}))
-    return tasks
-
-
 def _run(backend, relation, A, B, n):
     """One check of a batch, made through the module's public functions."""
     if relation == "pair":
@@ -430,26 +372,27 @@ def _run(backend, relation, A, B, n):
     return (check_star if relation == "star" else check_comm)(A, B, n, backend)
 
 
-def _run_chunk(backend, checks, c, frees, keep):
-    """The results of chunk c, yielded in order.  A worker keeps its caches
-    from chunk to chunk: first drop what it holds for earlier chunks only,
-    and note when to drop the keys of this chunk that later chunks read."""
-    for f in [f for f in _RETIRE if f < c]:
-        _free(_RETIRE.pop(f))
-    for key, f in keep.items():
-        _RETIRE.setdefault(f, []).append(key)
-    for i, check in enumerate(checks):
-        result = _run(backend, *check)
-        _free(frees.get(i, ()))
-        yield result
-
-
-def _run_chunk_list(*task):
-    """A chunk in a parallel scan's worker, which runs inside the scan's
-    batch: its caches outlive each chunk (see _run_chunk)."""
+def _batch(backend, checks):
+    """The results of checks, run in order as one batch: each key's last
+    reader is planned over these checks alone, a check's results are
+    yielded once the keys it read last are dropped, and the caches are
+    emptied when the batch ends, finished, failed or closed."""
     global _in_batch
+    frees = {}
+    for key, i in {key: i for i, keys in enumerate(_check_reads(backend, checks))
+                   for key in keys}.items():
+        frees.setdefault(i, []).append(key)
     _in_batch = True
-    return list(_run_chunk(*task))
+    try:
+        for i, check in enumerate(checks):
+            result = _run(backend, *check)
+            for key in frees.get(i, ()):
+                _PROD_CACHE.pop(key, None)
+                _RESIDUAL_CACHE.pop(key, None)
+            yield result
+    finally:
+        _in_batch = False
+        _drop()
 
 
 def run_batch(backend, checks):
@@ -463,9 +406,7 @@ def run_batch(backend, checks):
     for relation, *_ in checks:
         if relation not in ("star", "comm", "star_sides", "comm_sides", "pair"):
             raise ValueError(f"unknown relation {relation!r}")
-    with _batch():
-        return [result for task in _chunk_tasks(backend, [checks])
-                for result in _run_chunk(backend, *task)]
+    return list(_batch(backend, checks))
 
 
 def _labelled(backend, cases):
@@ -665,57 +606,75 @@ def _scan_pair(backend, A, B, n) -> RelationReport:
     return rep
 
 
-def _scan_chunks(n, workers):
-    """The scan's run order as pair indices (i * 2^n + j for (S_i, S_j), the
-    subsets in subset order), in chunks.  Row i checks (i, j) and then
-    (j, i) for each j from i onward.  A serial scan is one chunk; with
-    several workers the chunks are runs of whole rows, about four per
-    worker, balanced by pair count: a row goes to the chunk whose share of
-    the pairs holds its middle pair."""
-    N, k = 2 ** n, 1 if workers == 1 else 4 * workers
-    chunks, done = [[] for _ in range(k)], 0
-    for i in range(N):
-        row = list(dict.fromkeys(p for j in range(i, N) for p in (i * N + j, j * N + i)))
-        chunks[(2 * done + len(row)) * k // (2 * N * N)] += row
-        done += len(row)
-    return [chunk for chunk in chunks if chunk]
+def _scan_rows(n):
+    """The scan's run order in rows of checks: row A checks (A, B) and then
+    (B, A) for each B from A onward, in subset order."""
+    sets = list(subsets(n))
+    return [[("pair", *pair, n) for B in sets[i:] for pair in dict.fromkeys(((A, B), (B, A)))]
+            for i, A in enumerate(sets)]
+
+
+def _scan_worker(backend, rows, conn):
+    """A parallel scan's worker: its rows, run as one batch, and each row's
+    reports sent down conn as one list."""
+    results = _batch(backend, list(itertools.chain(*rows)))
+    for row in rows:
+        conn.send(list(itertools.islice(results, len(row))))
 
 
 def _scan_reports(n, backend, workers):
-    """Each pair's index and report, in the run order of _scan_chunks.  With
-    several workers each chunk's reports come back as soon as it and those
-    before it are done; a worker keeps what it made for the later chunks it
-    may get (see _chunk_tasks), as a serial scan keeps it for later pairs."""
-    sets = list(subsets(n))
-    chunks = _scan_chunks(n, workers)
-    tasks = _chunk_tasks(backend, [[("pair", sets[p // len(sets)], sets[p % len(sets)], n)
-                                    for p in chunk] for chunk in chunks])
+    """The reports in the run order of _scan_rows.  A serial scan is one
+    batch.  With W workers, worker w runs rows w, w + W, ... as one batch
+    and sends each row's reports down its own pipe, and row i is read from
+    worker i mod W; so each process plans and frees over exactly the checks
+    it runs.  Closing this generator, or a worker that ends before sending
+    its row (RuntimeError), terminates and joins every worker."""
+    rows = _scan_rows(n)
     if workers == 1:
-        yield from zip(chunks[0], _run_chunk(backend, *tasks[0]))
+        yield from _batch(backend, list(itertools.chain(*rows)))
         return
-    # imported here, so a serial run never loads the pool
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from zip(itertools.chain(*chunks), itertools.chain.from_iterable(
-            pool.map(_run_chunk_list, itertools.repeat(backend), *zip(*tasks))))
+    # imported here, so a serial run never loads multiprocessing; a spawned
+    # worker inherits no thread or lock of the caller's
+    from multiprocessing import get_context
+    context, procs, conns = get_context("spawn"), [], []
+    try:
+        for w in range(workers):
+            conn, send = context.Pipe(duplex=False)
+            procs.append(context.Process(target=_scan_worker,
+                                         args=(backend, rows[w::workers], send)))
+            procs[-1].start()
+            send.close()  # else the pipe reads no EOF when its worker ends
+            conns.append(conn)
+        for i in range(len(rows)):
+            try:
+                yield from conns[i % workers].recv()
+            except EOFError:
+                raise RuntimeError(f"scan worker {procs[i % workers].name} ended "
+                                   f"before sending row {i}") from None
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
 
 
 def scan(n, backend, workers=1, progress=None):
     """Classify every ordered pair of subsets of [1;n]: does the standard
     relation hold, does the commutator vanish, and does the structural
     pattern predict the former.  The pairs run in grouped order, each
-    (A, B) next to (B, A) (see _scan_chunks), so a product lives about one
+    (A, B) next to (B, A) (see _scan_rows), so a product lives about one
     row of pairs, not 2^n rows.  Row A is complete when its pass ends, as
     its pairs with an earlier B ran as transposes before; a report is held
     until the pairs before it are in, so progress, if given, receives each
-    report in pair order, at most one row late.  The scan is one batch
-    (see the module docstring), planned in run order.  Returns (reports,
-    summary)."""
+    report in pair order, at most one row late.  Each process of the scan
+    runs its rows as one batch (see the module docstring and
+    _scan_reports).  Returns (reports, summary)."""
     t0 = time.perf_counter()
+    index = {S: i for i, S in enumerate(subsets(n))}
     reports, held = [], {}
-    with _batch():
-        for p, rep in _scan_reports(n, backend, workers):
-            held[p] = rep
+    with contextlib.closing(_scan_reports(n, backend, workers)) as results:
+        for rep in results:
+            held[index[rep.A] * len(index) + index[rep.B]] = rep
             while len(reports) in held:
                 reports.append(held.pop(len(reports)))
                 if progress is not None:

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 
 from awbi import osp_engine as osp
 from awbi import uq_engine as uq
@@ -273,13 +274,15 @@ def test_backend_parallelism_same_verdicts_n3():
 
 
 def test_scan_parallel_workers_match_serial():
-    serial, s1 = scan(3, AW, workers=1)
-    parallel, s2 = scan(3, AW, workers=2)
-    assert [(r.A, r.B, r.holds_star, r.holds_comm, r.pattern_predicted)
-            for r in serial] == \
-           [(r.A, r.B, r.holds_star, r.holds_comm, r.pattern_predicted)
-            for r in parallel]
-    assert s1["star_holds"] == s2["star_holds"]
+    # five workers at n=2: more workers than cores, and one with no row
+    for n, workers in ((3, 2), (2, 5)):
+        serial, s1 = scan(n, AW, workers=1)
+        parallel, s2 = scan(n, AW, workers=workers)
+        assert [(r.A, r.B, r.holds_star, r.holds_comm, r.pattern_predicted)
+                for r in serial] == \
+               [(r.A, r.B, r.holds_star, r.holds_comm, r.pattern_predicted)
+                for r in parallel]
+        assert s1["star_holds"] == s2["star_holds"]
 
 
 def test_scan_with_workers_streams_every_report_in_pair_order():
@@ -431,52 +434,83 @@ def test_scan_runs_each_pair_next_to_its_transpose_and_streams_in_pair_order(bac
     assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
 
 
-def test_parallel_chunks_run_in_one_worker_make_each_product_once(monkeypatch):
-    # the chunks are whole grouped rows, so each pair's transpose is in its
-    # chunk; one worker that gets every chunk keeps what later chunks read
-    # and drops the rest, so it makes each product once and ends empty
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_each_parallel_worker_plans_only_its_own_rows(backend, monkeypatch):
+    # worker w of two runs rows w, w + 2, ... as one batch; a plan over both
+    # workers' rows would keep, after a check, keys that only the other
+    # worker reads later
     from awbi import relations
     relations.clear_caches()
     n = 4
-    sets = list(subsets(n))
-    # four chunks per worker, together every pair once
-    chunks = relations._scan_chunks(n, 2)
-    assert len(chunks) == 8
-    assert sorted(p for chunk in chunks for p in chunk) == list(range(len(sets) ** 2))
-    for chunk in chunks:
-        assert {divmod(p, len(sets))[::-1] for p in chunk} == {divmod(p, len(sets)) for p in chunk}
-    made = []
+    sets, rows = list(subsets(n)), relations._scan_rows(n)
+    reads, made, reports = [], [], {}
     prod = relations._prod
 
     def logged_prod(b, m, ea, eb):
         key = relations._prod_key(b, m, ea, eb)
+        reads.append(key)
         if key not in relations._PROD_CACHE:
             made.append(key)
         return prod(b, m, ea, eb)
 
     monkeypatch.setattr(relations, "_prod", logged_prod)
-    serial = scan(n, AW)[0]
-    assert len(made) == len(set(made)) == 150
-    made.clear()
-    # the worker runs inside the scan's batch, which outlives its chunks
-    checks = [[("pair", sets[p // len(sets)], sets[p % len(sets)], n) for p in chunk]
-              for chunk in chunks]
-    with relations._batch():
-        reports = [rep for task in relations._chunk_tasks(AW, checks)
-                   for rep in relations._run_chunk(AW, *task)]
-        assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
-    order = [p for chunk in chunks for p in chunk]
-    assert [r.to_json() for _, r in sorted(zip(order, reports), key=lambda t: t[0])] == \
-           [r.to_json() for r in serial]
-    assert len(made) == len(set(made)) == 150
+    monkeypatch.setattr(relations, "_RESIDUAL_CACHE", _LoggedDict(reads))
+    for w in (0, 1):
+        made.clear()
+        per_check, live = [], []
+        for rep in relations._batch(backend, list(itertools.chain(*rows[w::2]))):
+            reports[rep.A, rep.B] = rep
+            per_check.append(set(reads))
+            reads.clear()
+            live.append(set(relations._PROD_CACHE) | set(relations._RESIDUAL_CACHE))
+        assert made and len(made) == len(set(made))
+        # after each check the caches hold exactly the keys it or an earlier
+        # check read that a later check of the same worker reads
+        for i, keys in enumerate(live):
+            assert keys == set().union(*per_check[:i + 1]) & set().union(*per_check[i + 1:]), (w, i)
+        assert cache_sizes() == dict.fromkeys(_CACHES, 0)
+    assert [reports[A, B].to_json() for A in sets for B in sets] == \
+           [r.to_json() for r in scan(n, backend)[0]]
 
 
-_CACHES = ("_PROD_CACHE", "_RESIDUAL_CACHE", "_RETIRE", "_COMPRESSED")
+def test_failed_and_abandoned_parallel_scans_leave_no_process():
+    import multiprocessing
+    import os
+    import signal
+
+    class Stop(Exception):
+        pass
+
+    def stop(rep):
+        stop.workers = multiprocessing.active_children()
+        raise Stop
+
+    with pytest.raises(Stop):
+        scan(5, AW, workers=2, progress=stop)
+    assert not multiprocessing.active_children()
+    # abandoned at the first report, the workers are stopped, not waited for
+    assert [proc.exitcode for proc in stop.workers] == [-signal.SIGTERM] * 2
+
+    def kill_one(rep):
+        if rep.A == rep.B == ():
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="scan worker"):
+        scan(5, AW, workers=2, progress=kill_one)
+    assert time.perf_counter() - t0 < 10
+    assert not multiprocessing.active_children()
+
+
+_CACHES = ("_PROD_CACHE", "_RESIDUAL_CACHE", "compress")
 
 
 def cache_sizes():
-    from awbi import relations
-    return {name: len(getattr(relations, name)) for name in _CACHES}
+    """The sizes of the relation caches and of the compress memo."""
+    from awbi import extension, relations
+    sizes = {name: len(getattr(relations, name)) for name in _CACHES[:2]}
+    sizes["compress"] = extension.compress.cache_info().currsize
+    return sizes
 
 
 def count_products_made(monkeypatch):
