@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -107,8 +108,8 @@ def cmd_scan(args) -> int:
                                          include_timing=args.timing),
                              sort_keys=True), flush=True)
 
-    _, summary = relations.scan(args.n, backend, workers=args.workers,
-                                progress=progress)
+    reports, summary = relations.scan(args.n, backend, workers=args.workers,
+                                      progress=progress)
     if stream:
         print(json.dumps({"summary": summary}, sort_keys=True))
     else:
@@ -125,12 +126,23 @@ def cmd_scan(args) -> int:
         print(f"  containment commutation failures: "
               f"{len(summary['containment_comm_failures'])}")
         print(f"  elapsed: {summary['elapsed_s']} s")
-    # the scanner's own expectation: containment pairs commute, and any
-    # star/pattern disagreement beyond the degenerate containment cases is
-    # an unexplained finding
+    # the scanner's own expectation: a pair commutes exactly when it avoids
+    # the eight commutation obstructions (containment pairs among them), and
+    # any star/pattern disagreement beyond the degenerate containment cases
+    # is an unexplained finding
     unexplained = [d for d in summary["pattern_disagreements"]
                    if not d["containment_degenerate"]]
-    return 1 if (unexplained or summary["containment_comm_failures"]) else 0
+    return 1 if (unexplained or any(r.holds_comm != _avoids_eight(r.A, r.B)
+                                    for r in reports)) else 0
+
+
+def _avoids_eight(A, B):
+    """Whether the pair's word avoids the eight commutation obstructions as
+    subsequences: one set contains the other, or the word over a (A only),
+    b (B only) and c (both) fits a*b*a* or b*a*b* (see README)."""
+    sa, sb = set(A), set(B)
+    word = "".join("-abc"[(e in sa) + 2 * (e in sb)] for e in sorted(sa | sb))
+    return sa <= sb or sb <= sa or re.fullmatch("a*b*a*|b*a*b*", word) is not None
 
 
 def cmd_selftest(args) -> int:

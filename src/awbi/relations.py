@@ -29,14 +29,17 @@ padded: the same element, zero exactly when the compressed one is.
 Every check runs in a batch, and what a batch caches lives from its first
 reader to its last.  A batch is a serial scan, a parallel scan's worker,
 a suite, a run_batch call, or a single check_star, check_comm, star_sides
-or comm_sides call made outside any batch (a batch of one).  A batch
-(_batch) first lists what each of its checks reads (_reads: the compressed
-residual's key, and the products of the sides at the compressed arity,
-which a compressed pair reads only when its residual key misses), and
-after each check it drops every product and residual whose last reader
-that check was.  Its end empties the caches.  So the caches hold only what
-a later check of the batch still reads, and nothing outside a batch.
-Freeing too early could only make a product again, never change a verdict.
+or comm_sides call made outside any batch (a batch of one).  A check that
+keeps only its verdict, as the scan's do, reads (zero, term count) from
+_VERDICTS; its residual's first reader lifts it once for each widening
+schedule the batch reads it with, keeps those verdicts and drops it.  A
+batch (_batch) first lists what each of its checks reads (_reads: the
+verdict, and the products of the sides at the compressed arity, which a
+verdict reader reads only on a miss), and after each check it drops every
+product and verdict whose last reader that check was.  Its end empties the
+caches.  So the caches hold only what a later check of the batch still
+reads, and nothing outside a batch.  Freeing too early could only make a
+product or verdict again, never change a verdict.
 
 The scan runs each pair (A, B) next to its transpose (B, A), which reads
 the same products, and emits its reports in pair order (see scan).
@@ -81,19 +84,20 @@ def get_backend(name: str) -> Backend:
 
 _PROD_CACHE: dict = {}
 
-# Packed lattice residuals of compressed pairs that stand for longer ones,
-# keyed by (backend, relation, arity, A, B) of the compressed pair.
-_RESIDUAL_CACHE: dict = {}
+# Verdicts (zero, term count) of lifted residuals, keyed by (residual key,
+# widening schedule); see _residual_key and _verdict.
+_VERDICTS: dict = {}
 
-# Whether a batch is running (see _batch).
-_in_batch = False
+# The running batch's plan: each residual key's widening schedules, popped
+# when the key's verdicts are made; None outside a batch (see _batch).
+_plan: dict | None = None
 
 
 def _batch_of_one(fn):
     """A call made outside any batch is a batch of one."""
     @functools.wraps(fn)
     def call(*args):
-        if _in_batch:
+        if _plan is not None:
             return fn(*args)
         try:
             return fn(*args)
@@ -122,7 +126,7 @@ def _prod(backend, n, ea, eb) -> AlgElem:
 def _drop():
     """Empty the relation caches: what the end of a batch does."""
     _PROD_CACHE.clear()
-    _RESIDUAL_CACHE.clear()
+    _VERDICTS.clear()
     extension.compress.cache_clear()
 
 
@@ -235,55 +239,73 @@ def comm_sides(A, B, n, backend):
     return _sides("comm", A, B, n, backend)
 
 
-def _residual_key(backend, relation, m, n, A2, B2):
-    """The key of the cached residual of a pair with compressed pair
-    (A2, B2) at arity m; None for a pair that does not compress (m = n)."""
-    return None if m == n else (backend, relation, m, A2, B2)
+def _residual_key(backend, relation, m, A2, B2):
+    """The key of the residual of the compressed pair (A2, B2) at arity m.
+    A commutator's key names the pair sorted, as comm(B, A) = -comm(A, B)."""
+    return (backend, relation, m) + tuple(sorted((A2, B2)) if relation == "comm" else (A2, B2))
 
 
-def _reads(backend, relation, A, B, n):
+def _reads(backend, relation, A, B, n, verdict=False):
     """What the check (relation, A, B, n) of a batch reads from the caches:
-    the key of its cached residual (None for a pair that does not compress,
-    and for sides) and the keys of the products its sides are formed from.
-    A check reads those products at the compressed arity, a compressed pair
-    only when its residual key misses; star_sides and comm_sides read them
-    at arity n."""
+    its verdict's key (residual key, widening schedule) if it keeps only the
+    verdict, else None, and the keys of the products of its sides, at the
+    compressed arity (a verdict reader reads them only on a miss), or at
+    arity n for star_sides and comm_sides."""
     if relation.endswith("_sides"):
         return None, [_prod_key(backend, n, X, Y)
                       for X, Y in _products(relation[:-len("_sides")], A, B)]
     A2, B2, runs, _, _ = extension.compress(A, B, n)
     m = len(runs)
-    return (_residual_key(backend, relation, m, n, A2, B2),
+    return ((_residual_key(backend, relation, m, A2, B2), runs) if verdict else None,
             [_prod_key(backend, m, X, Y) for X, Y in _products(relation, A2, B2)])
 
 
-def _lattice_residual(relation, A, B, n, backend) -> AlgElem:
+def _widened(r, runs):
+    """r with each leg widened to its run (extension.widen)."""
+    for _, j in extension.widen(runs):
+        r = r.coproduct(j)
+    return r
+
+
+def _lattice_residual(relation, A, B, n, backend, lift=True) -> AlgElem:
     """lhs - rhs of the relation in the lattice, decided at the compressed
     arity and lifted back to n (see the module docstring): one linear
     combination of the compressed pair's four products and generator, or
-    two products for "comm", formed in one pass (_lattice_sides, lincomb).
-    A pair that does not compress is its own compressed pair; the residual
-    of a compressed pair that stands for longer ones is cached, and a zero
-    one lifts to zero at once."""
+    two products for "comm", formed in one pass (_lattice_sides, lincomb);
+    without lift, that compressed residual.  A pair that does not compress
+    is its own compressed pair.  The transposed pair's commutator residual
+    is this one negated, exactly: same zero flag, same lifted term count."""
     A2, B2, runs, left, right = extension.compress(A, B, n)
-    m = len(runs)
-    key = _residual_key(backend, relation, m, n, A2, B2)
-    if key is None:
-        return lincomb(_lattice_sides(relation, A2, B2, n, backend, True))
-    r = _RESIDUAL_CACHE.get(key)
-    if r is None:
-        r = _RESIDUAL_CACHE[key] = lincomb(_lattice_sides(relation, A2, B2, m, backend, True))
+    r = lincomb(_lattice_sides(relation, A2, B2, len(runs), backend, True))
+    if not lift:
+        return r
     if r.is_zero():
         return AlgElem.zero(backend.lattice, n)
-    for _, j in extension.widen(runs):
-        r = r.coproduct(j)
-    return r.pad(left, right)
+    return _widened(r, runs).pad(left, right)
+
+
+def _verdict(relation, A, B, n, backend):
+    """(zero, term count) of _lattice_residual, read from _VERDICTS.  On a
+    miss the compressed residual is formed, lifted once for this pair's
+    schedule and each the batch plans for its key, and only the verdicts
+    are kept: padding keeps the count, and a zero residual is not lifted."""
+    A2, B2, runs, _, _ = extension.compress(A, B, n)
+    key = _residual_key(backend, relation, len(runs), A2, B2)
+    verdict = _VERDICTS.get((key, runs))
+    if verdict is None:
+        r = _lattice_residual(relation, A, B, n, backend, lift=False)
+        for schedule in dict.fromkeys((runs, *(_plan or {}).pop(key, ()))):
+            _VERDICTS[key, schedule] = (True, 0) if r.is_zero() else \
+                (False, _widened(r, schedule).term_count())
+        verdict = _VERDICTS[key, runs]
+    return verdict
 
 
 @_batch_of_one
 def _check(relation, A, B, n, backend, keep_residual=True) -> RelationReport:
-    """The residual of the relation at arity n, formed in the lattice from
-    the compressed pair.  The holds flag and the term count are read off its
+    """The verdict of the relation at arity n, decided in the lattice from
+    the compressed pair; with keep_residual also the published residual.
+    The holds flag and the term count are read off the lifted residual's
     normal form, never short-circuited; they are the published residual's,
     as conversion scales each coefficient by a nonzero scalar.  Lifting is
     exact: the coproducts and the padding are injective algebra morphisms
@@ -291,12 +313,16 @@ def _check(relation, A, B, n, backend, keep_residual=True) -> RelationReport:
     is the one the direct products would give."""
     A, B = _sorted(A), _sorted(B)
     t0 = time.perf_counter()
-    residual = _lattice_residual(relation, A, B, n, backend)
-    published = backend.lattice.from_lattice(residual, 2) if keep_residual else None
+    if keep_residual:
+        residual = _lattice_residual(relation, A, B, n, backend)
+        zero, count = residual.is_zero(), residual.term_count()
+        published = backend.lattice.from_lattice(residual, 2)
+    else:
+        (zero, count), published = _verdict(relation, A, B, n, backend), None
     return RelationReport(A, B, n, backend.name, elapsed=time.perf_counter() - t0,
-                          **{"holds_" + relation: residual.is_zero(),
+                          **{"holds_" + relation: zero,
                              "residual_" + relation: published,
-                             f"residual_{relation}_terms": residual.term_count()})
+                             f"residual_{relation}_terms": count})
 
 
 def check_star(A, B, n, backend, keep_residual=True) -> RelationReport:
@@ -346,19 +372,20 @@ def predict_pattern(A, B):
 # scan's check of both relations (_scan_pair).
 
 def _check_reads(backend, checks):
-    """For each check in order, the keys of the products and residuals it
-    reads, in the order it makes them, when the checks run in order from
-    caches that hold none of their residuals."""
+    """For each check in order, the keys of the products and verdicts it
+    reads, in the order it reads them, when the checks run in order from
+    empty caches.  A "pair" check reads verdicts, and the products of a
+    residual key only at the key's first reader."""
     seen = set()
     for relation, A, B, n in checks:
         keys = []
         for part in ("star", "comm") if relation == "pair" else (relation,):
-            key, products = _reads(backend, part, A, B, n)
-            if key is not None:
-                keys.append(key)
-                if key in seen:
+            verdict, products = _reads(backend, part, A, B, n, relation == "pair")
+            if verdict is not None:
+                keys.append(verdict)
+                if verdict[0] in seen:
                     continue
-                seen.add(key)
+                seen.add(verdict[0])
             keys += products
         yield keys
 
@@ -374,24 +401,27 @@ def _run(backend, relation, A, B, n):
 
 def _batch(backend, checks):
     """The results of checks, run in order as one batch: each key's last
-    reader is planned over these checks alone, a check's results are
-    yielded once the keys it read last are dropped, and the caches are
-    emptied when the batch ends, finished, failed or closed."""
-    global _in_batch
-    frees = {}
+    reader and each residual's schedules are planned over these checks
+    alone, a check's results are yielded once the keys it read last are
+    dropped, and the caches are emptied when the batch ends, finished,
+    failed or closed."""
+    global _plan
+    frees, plan = {}, {}
     for key, i in {key: i for i, keys in enumerate(_check_reads(backend, checks))
                    for key in keys}.items():
         frees.setdefault(i, []).append(key)
-    _in_batch = True
+        if len(key) == 2:       # a verdict's (residual key, schedule)
+            plan.setdefault(key[0], []).append(key[1])
+    _plan = plan
     try:
         for i, check in enumerate(checks):
             result = _run(backend, *check)
             for key in frees.get(i, ()):
                 _PROD_CACHE.pop(key, None)
-                _RESIDUAL_CACHE.pop(key, None)
+                _VERDICTS.pop(key, None)
             yield result
     finally:
-        _in_batch = False
+        _plan = None
         _drop()
 
 
@@ -400,7 +430,7 @@ def run_batch(backend, checks):
     as one batch: the report of check_star or check_comm for "star" or
     "comm", the published sides of star_sides or comm_sides for
     "star_sides" or "comm_sides".  What two checks share is made once, and
-    each cached product and residual is dropped after the last check that
+    each cached product and verdict is dropped after the last check that
     reads it."""
     checks = [(relation, _sorted(A), _sorted(B), n) for relation, A, B, n in checks]
     for relation, *_ in checks:

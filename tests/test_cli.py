@@ -241,6 +241,31 @@ def test_scan_reports_noncommuting_pair_with_A_inside_B(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("pair", (((1,), (2,)), ((1, 3), (2, 3))), ids=("ab", "abc"))
+def test_scan_exits_1_when_a_commutation_verdict_disagrees_with_avoidance(capsys, monkeypatch, pair):
+    # neither pair is a containment pair: the word ab fits a*b*a* and
+    # commutes, abc is an obstruction and does not; flipping either verdict
+    # changes only the commuting count and the exit code
+    from awbi import relations
+    real = relations.check_comm
+
+    def check_comm(A, B, n, backend, keep_residual=True):
+        rep = real(A, B, n, backend, keep_residual)
+        if (rep.A, rep.B) == pair:
+            rep.holds_comm = not rep.holds_comm
+        return rep
+
+    code, out = run(capsys, "scan", "--n", "4", "--max-scan-n", "4", "--output", "json")
+    assert code == 0
+    monkeypatch.setattr(relations, "check_comm", check_comm)
+    flipped, out_flipped = run(capsys, "scan", "--n", "4", "--max-scan-n", "4", "--output", "json")
+    assert flipped == 1
+    summaries = [json.loads(o.splitlines()[-1])["summary"] for o in (out, out_flipped)]
+    for summary in summaries:
+        del summary["elapsed_s"], summary["comm_holds"]
+    assert summaries[0] == summaries[1]
+
+
 def test_build_empty_set(capsys):
     code, out = run(capsys, "build", "--set", "", "--n", "3")
     assert code == 0

@@ -329,15 +329,21 @@ def test_mirror_pair_has_equal_verdicts_and_commutator_count(backend):
 
 
 class _LoggedDict(dict):
-    """A dict that records the key of every get."""
+    """A dict that records the key of every get, and with writes also of
+    every item set."""
 
-    def __init__(self, log):
+    def __init__(self, log, writes=False):
         super().__init__()
-        self.log = log
+        self.log, self.writes = log, writes
 
     def get(self, key, default=None):
         self.log.append(key)
         return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        if self.writes:
+            self.log.append(key)
+        super().__setitem__(key, value)
 
 
 def grouped_pairs(n):
@@ -351,7 +357,7 @@ def grouped_pairs(n):
 def planned_peak(backend, checks):
     """The most products live at once when the checks run in order and each
     key is freed after its last reader, from the planner's list of reads.
-    Product keys have four fields, residual keys five."""
+    Product keys have four fields, verdict keys two."""
     from awbi import relations
     reads = list(relations._check_reads(backend, checks))
     last = {key: i for i, keys in enumerate(reads) for key in keys}
@@ -391,15 +397,15 @@ def test_scan_frees_each_product_and_residual_after_its_last_reader(backend, mon
 
     monkeypatch.setattr(relations, "_prod", logged_prod)
     monkeypatch.setattr(relations, "_scan_pair", logged_pair)
-    monkeypatch.setattr(relations, "_RESIDUAL_CACHE", _LoggedDict(reads))
+    monkeypatch.setattr(relations, "_VERDICTS", _LoggedDict(reads))
     scan(n, backend)
-    # the planner lists each pair's reads, residuals and products, in the
+    # the planner lists each pair's reads, verdicts and products, in the
     # order the pairs run
     assert per_pair == planned
     # each product is made once
     assert len(misses) == len(set(misses)) == len(products) == 150
     # nothing the scan read is left, and the cache never held all of it
-    assert not relations._PROD_CACHE and not relations._RESIDUAL_CACHE
+    assert not relations._PROD_CACHE and not relations._VERDICTS
     assert max(live) < len(products)
 
 
@@ -454,7 +460,9 @@ def test_each_parallel_worker_plans_only_its_own_rows(backend, monkeypatch):
         return prod(b, m, ea, eb)
 
     monkeypatch.setattr(relations, "_prod", logged_prod)
-    monkeypatch.setattr(relations, "_RESIDUAL_CACHE", _LoggedDict(reads))
+    # a verdict is made, for every schedule its key is read with, at the
+    # key's first reader, so the log holds the verdicts set as well as read
+    monkeypatch.setattr(relations, "_VERDICTS", _LoggedDict(reads, writes=True))
     for w in (0, 1):
         made.clear()
         per_check, live = [], []
@@ -462,15 +470,131 @@ def test_each_parallel_worker_plans_only_its_own_rows(backend, monkeypatch):
             reports[rep.A, rep.B] = rep
             per_check.append(set(reads))
             reads.clear()
-            live.append(set(relations._PROD_CACHE) | set(relations._RESIDUAL_CACHE))
+            live.append(set(relations._PROD_CACHE) | set(relations._VERDICTS))
         assert made and len(made) == len(set(made))
         # after each check the caches hold exactly the keys it or an earlier
-        # check read that a later check of the same worker reads
+        # check read or made that a later check of the same worker reads
         for i, keys in enumerate(live):
             assert keys == set().union(*per_check[:i + 1]) & set().union(*per_check[i + 1:]), (w, i)
         assert cache_sizes() == dict.fromkeys(_CACHES, 0)
     assert [reports[A, B].to_json() for A in sets for B in sets] == \
            [r.to_json() for r in scan(n, backend)[0]]
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_scan_keeps_no_residual_past_its_check(backend, monkeypatch):
+    # a scan check keeps only verdicts: after each check the relation
+    # caches hold no lattice element but products, and no residual,
+    # compressed or lifted, is referenced from anywhere
+    import sys
+    from awbi import relations
+    from awbi.pbw import AlgElem
+    relations.clear_caches()
+    formed, checks = [], []
+    lincomb, widened, scan_pair = relations.lincomb, relations._widened, relations._scan_pair
+
+    def held(x):
+        if isinstance(x, AlgElem):
+            return True
+        values = x.values() if isinstance(x, dict) else x if isinstance(x, (list, tuple)) else ()
+        return any(map(held, values))
+
+    def logged(fn):
+        def call(*args):
+            formed.append(fn(*args))
+            return formed[-1]
+        return call
+
+    def logged_pair(*args):
+        rep = scan_pair(*args)
+        caches = {name: value for name, value in vars(relations).items()
+                  if isinstance(value, dict) and name != "_PROD_CACHE"}
+        assert "_VERDICTS" in caches and not held(list(caches.values()))
+        assert all(type(zero) is bool and count >= 0 and zero == (count == 0)
+                   for zero, count in relations._VERDICTS.values())
+        # each is referenced as often as a control that only this list holds
+        # (a lift along all-ones runs returns the residual itself)
+        elements = list({id(x): x for x in formed}.values()) + [object()]
+        formed.clear()
+        assert len(set(map(sys.getrefcount, elements))) == 1
+        checks.append(len(elements) - 1)
+        return rep
+
+    monkeypatch.setattr(relations, "lincomb", logged(lincomb))
+    monkeypatch.setattr(relations, "_widened", logged(widened))
+    monkeypatch.setattr(relations, "_scan_pair", logged_pair)
+    scan(4, backend)
+    assert len(checks) == 256 and sum(checks) > 0
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_scan_lifts_each_residual_once_per_schedule(backend, monkeypatch):
+    # the first reader of a compressed residual forms it and lifts it for
+    # every schedule the scan reads it with; a transposed pair's commutator
+    # shares the verdict, and a zero residual is not lifted
+    from awbi import relations
+    relations.clear_caches()
+    reads, made, lifts, forms = [], {}, [], []
+    widened, lincomb = relations._widened, relations.lincomb
+
+    class Verdicts(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+        def __setitem__(self, key, value):
+            assert key not in made
+            made[key] = value
+            super().__setitem__(key, value)
+
+    def logged_widened(r, runs):
+        lifts.append(runs)
+        return widened(r, runs)
+
+    def logged_lincomb(parts):
+        forms.append(parts)
+        return lincomb(parts)
+
+    monkeypatch.setattr(relations, "_VERDICTS", Verdicts())
+    monkeypatch.setattr(relations, "_widened", logged_widened)
+    monkeypatch.setattr(relations, "lincomb", logged_lincomb)
+    reports, _ = scan(4, backend)
+    assert len(reads) == 2 * len(reports) == 512
+    assert set(made) == set(reads)
+    assert len(forms) == len({key for key, _ in made}) < len(made)
+    nonzero = [key for key in reads if not made[key][0]]
+    assert len(lifts) == len(set(nonzero)) < len(nonzero)
+    assert all(A <= B for (_, relation, _, A, B), _ in made if relation == "comm")
+    for rep in reports:
+        assert (rep.holds_comm, rep.residual_comm_terms) == \
+               (check_comm(rep.B, rep.A, 4, backend).holds_comm,
+                check_comm(rep.A, rep.B, 4, backend).residual_comm_terms)
+
+
+@pytest.mark.parametrize("backend", (AW, BI), ids=("aw", "bi"))
+def test_run_batch_mixing_kept_residuals_and_verdicts_equals_single_checks(backend):
+    # the first three pairs compress to ((1, 2), (1, 3)) at arity 3, with
+    # three widening schedules; the last holds the standard relation.  Each
+    # "star" and "comm" check keeps its residual, formed from products the
+    # "pair" checks around it also read
+    from awbi import relations
+    pairs = (((1, 2, 3), (1, 4), 5), ((1, 2), (1, 3, 4), 4), ((1, 2), (1, 3), 3),
+             ((1, 2, 3), (3, 4, 5), 5))
+    checks = [check for A, B, n in pairs
+              for check in (("pair", A, B, n), ("star", A, B, n), ("comm", B, A, n),
+                            ("pair", B, A, n), ("comm", A, B, n), ("star", B, A, n))]
+    reports = relations.run_batch(backend, checks)
+    for (relation, A, B, n), rep in zip(checks, reports):
+        if relation == "pair":
+            single = relations._scan_pair(backend, A, B, n)
+            star, comm = check_star(A, B, n, backend), check_comm(A, B, n, backend)
+            assert (rep.holds_star, rep.residual_star_terms, rep.holds_comm,
+                    rep.residual_comm_terms) == (star.holds_star, star.residual_star_terms,
+                                                 comm.holds_comm, comm.residual_comm_terms)
+        else:
+            single = (check_star if relation == "star" else check_comm)(A, B, n, backend)
+        assert rep.to_json() == single.to_json(), (relation, A, B, n)
+    assert {rep.holds_star for rep in reports if rep.holds_star is not None} == {True, False}
 
 
 def test_failed_and_abandoned_parallel_scans_leave_no_process():
@@ -502,7 +626,7 @@ def test_failed_and_abandoned_parallel_scans_leave_no_process():
     assert not multiprocessing.active_children()
 
 
-_CACHES = ("_PROD_CACHE", "_RESIDUAL_CACHE", "compress")
+_CACHES = ("_PROD_CACHE", "_VERDICTS", "compress")
 
 
 def cache_sizes():
